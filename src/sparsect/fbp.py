@@ -51,7 +51,12 @@ def make_ramp(n_bins: int, det_spacing: float, apodization="none") -> RampFilter
         raise ValueError("make_ramp needs n_bins >= 8")
     half = n_bins - 1
     offs = np.arange(-half, half + 1)
-    taps = np.array([ramp_tap(int(n), det_spacing) for n in offs])
+    odd = offs % 2 == 1
+    # same expressions as ramp_tap, so the taps match it exactly
+    d2 = det_spacing * det_spacing
+    taps = np.zeros(2 * half + 1)
+    taps[odd] = -1.0 / (np.pi * np.pi * offs[odd] * offs[odd] * d2)
+    taps[half] = 1.0 / (4.0 * d2)
     return RampFilter(n_taps=2 * half + 1, taps=taps, det_spacing=det_spacing,
                       apodization=apodization)
 
@@ -111,11 +116,8 @@ def fbp_reconstruct(sinogram: Sinogram, filt: RampFilter = None,
         filt = make_ramp(geom.n_bins, geom.det_spacing, "none")
     if abs(filt.det_spacing - geom.det_spacing) > 1e-12 * geom.det_spacing:
         raise ValueError("filter detector spacing does not match sinogram geometry")
-    if out_side is not None and out_side != geom.image_side:
-        fov = geom.image_side * geom.pixel_spacing
-        geom = Geometry(tuple(geom.angles), geom.n_bins, geom.det_spacing,
-                        out_side, fov / out_side)
-        sinogram = Sinogram(geometry=geom, values=sinogram.values)
+    if out_side is not None:
+        geom = geom.with_side(out_side)
     filtered = filter_views(sinogram.values, filt)
     bp = adjoint(Sinogram(geometry=geom, values=filtered))
     return Image(values=bp.values * _backprojection_scale(geom),
@@ -126,11 +128,8 @@ def deconvolution_form(sinogram: Sinogram, out_side: int = None,
                        apodization="none") -> Image:
     """Image-domain FBP: back project first, then apply the 2-D ||f|| filter."""
     geom = sinogram.geometry
-    if out_side is not None and out_side != geom.image_side:
-        fov = geom.image_side * geom.pixel_spacing
-        geom = Geometry(tuple(geom.angles), geom.n_bins, geom.det_spacing,
-                        out_side, fov / out_side)
-        sinogram = Sinogram(geometry=geom, values=sinogram.values)
+    if out_side is not None:
+        geom = geom.with_side(out_side)
     side = geom.image_side
     # back project onto a 2x-extended grid: measurements are truly zero beyond
     # the detector, so the slowly decaying tails of the back projection are

@@ -37,19 +37,32 @@ def save_sinogram(sino: Sinogram, path):
         fh.write(np.ascontiguousarray(sino.values, "<f8").tobytes())
 
 
+def _read(fh, size, path, field):
+    """Exactly `size` bytes of `field`, or ValueError naming file and field."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {field} "
+                         f"(expected {size} bytes, got {len(data)})")
+    return data
+
+
+def _unpack(fh, fmt, path, field):
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt), path, field))
+
+
 def load_sinogram(path) -> Sinogram:
     with open(path, "rb") as fh:
         if fh.read(8) != SINO_MAGIC:
             raise ValueError(f"{path}: not a sinogram file")
-        version, n_views, n_bins = struct.unpack("<III", fh.read(12))
+        version, n_views, n_bins = _unpack(fh, "<III", path, "header")
         if version != 1:
             raise ValueError(f"{path}: unsupported sinogram version {version}")
-        det_spacing, = struct.unpack("<d", fh.read(8))
-        image_side, = struct.unpack("<I", fh.read(4))
-        pixel_spacing, = struct.unpack("<d", fh.read(8))
-        angles = np.frombuffer(fh.read(8 * n_views), "<f8")
-        values = np.frombuffer(fh.read(8 * n_views * n_bins), "<f8") \
-                   .reshape(n_views, n_bins)
+        det_spacing, = _unpack(fh, "<d", path, "det_spacing")
+        image_side, = _unpack(fh, "<I", path, "image_side")
+        pixel_spacing, = _unpack(fh, "<d", path, "pixel_spacing")
+        angles = np.frombuffer(_read(fh, 8 * n_views, path, "angles"), "<f8")
+        values = np.frombuffer(_read(fh, 8 * n_views * n_bins, path, "values"),
+                               "<f8").reshape(n_views, n_bins)
         geom = Geometry(tuple(angles), n_bins, det_spacing, image_side, pixel_spacing)
         return Sinogram(geometry=geom, values=values.copy())
 
@@ -65,8 +78,9 @@ def load_image(path) -> Image:
     with open(path, "rb") as fh:
         if fh.read(8) != IMG_MAGIC:
             raise ValueError(f"{path}: not an image file")
-        side, pixel_spacing = struct.unpack("<Id", fh.read(12))
-        values = np.frombuffer(fh.read(8 * side * side), "<f8").reshape(side, side)
+        side, pixel_spacing = _unpack(fh, "<Id", path, "header")
+        values = np.frombuffer(_read(fh, 8 * side * side, path, "values"),
+                               "<f8").reshape(side, side)
         return Image(values=values.copy(), pixel_spacing=pixel_spacing)
 
 
@@ -105,16 +119,16 @@ def load_weights(path) -> NetworkParams:
     with open(path, "rb") as fh:
         if fh.read(8) != NET_MAGIC:
             raise ValueError(f"{path}: not a weights file")
-        depth, base_channels, n_arrays = struct.unpack("<III", fh.read(12))
+        depth, base_channels, n_arrays = _unpack(fh, "<III", path, "header")
         weights = {}
-        for _ in range(n_arrays):
-            nlen, = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode()
-            ndim, = struct.unpack("<B", fh.read(1))
-            dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        for i in range(n_arrays):
+            nlen, = _unpack(fh, "<H", path, f"array {i} name length")
+            name = _read(fh, nlen, path, f"array {i} name").decode()
+            ndim, = _unpack(fh, "<B", path, f"{name} ndim")
+            dims = _unpack(fh, f"<{ndim}I", path, f"{name} dims")
             count = int(np.prod(dims))
-            weights[name] = np.frombuffer(fh.read(4 * count), "<f4") \
-                              .reshape(dims).copy()
+            weights[name] = np.frombuffer(_read(fh, 4 * count, path, f"{name} data"),
+                                          "<f4").reshape(dims).copy()
         return NetworkParams(depth, base_channels, weights)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .numerics import Rng, affine_fit
+from .numerics import Rng, snr
 
 __all__ = ["NetworkParams", "TrainConfig", "init_params", "forward_net",
            "backward_net", "train", "layer_specs"]
@@ -139,15 +139,6 @@ def backward_net(params: NetworkParams, input_values, loss_grad):
     return {k: v.grad for k, v in pvars.items()}
 
 
-def _snr_db(ref, cand):
-    a, b = affine_fit(ref, cand)
-    resid = np.asarray(ref, dtype=np.float64) - a * np.asarray(cand, np.float64) + b
-    denom = np.linalg.norm(resid)
-    if denom == 0:
-        return 300.0
-    return min(300.0, 20.0 * np.log10(np.linalg.norm(ref) / denom))
-
-
 def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None,
           val_set=None):
     """SGD (batch 1) with momentum, elementwise gradient clipping, geometric
@@ -197,7 +188,7 @@ def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None
         checkpoint = params.copy()
         val_snr = float("nan")
         if val_set:
-            val_snr = float(np.mean([_snr_db(t, forward_net(params, x))
+            val_snr = float(np.mean([snr(t, forward_net(params, x))
                                      for x, t in val_set]))
         history.append((epoch, float(np.mean(losses)), val_snr))
     return params, history

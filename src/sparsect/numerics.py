@@ -1,4 +1,5 @@
-"""Shared numeric foundations: portable seeded RNG, radix-2 FFT, affine calibration fit.
+"""Shared numeric foundations: portable seeded RNG, power-of-two FFT wrappers
+over numpy's pocketfft, affine calibration fit and affine-calibrated SNR.
 
 Everything here is pure and deterministic.  All scalars are 64-bit; callers
 that want 32-bit (network training) cast at their own boundary.
@@ -6,7 +7,9 @@ that want 32-bit (network training) cast at their own boundary.
 
 import numpy as np
 
-__all__ = ["Rng", "fft_1d", "fft_2d", "affine_fit"]
+__all__ = ["Rng", "fft_1d", "fft_2d", "affine_fit", "snr", "SNR_CAP_DB"]
+
+SNR_CAP_DB = 300.0
 
 # splitmix64 constants (Steele, Lea & Flood 2014)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -88,46 +91,28 @@ class Rng:
         return Rng(int(child_seed))
 
 
-def _bit_reverse(n):
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    bits = n.bit_length() - 1
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
+def _check_pow2(n, name):
+    if n == 0 or (n & (n - 1)) != 0:
+        raise ValueError(f"{name} requires a power-of-two length, got {n}")
 
 
 def fft_1d(x, inverse=False):
-    """Radix-2 DFT along the last axis.
+    """DFT along the last axis (numpy's pocketfft).
 
     Forward is unnormalized (fft([1,1,1,1]) == [4,0,0,0]); inverse divides by
     n, so fft_1d(fft_1d(x), inverse=True) == x.  Length must be a power of two.
     """
     x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    if n == 0 or (n & (n - 1)) != 0:
-        raise ValueError(f"fft_1d requires a power-of-two length, got {n}")
-    y = x[..., _bit_reverse(n)].copy()
-    sign = 1.0 if inverse else -1.0
-    m = 1
-    lead = y.shape[:-1]
-    while m < n:
-        tw = np.exp(sign * 2j * np.pi * np.arange(m) / (2 * m))
-        y = y.reshape(lead + (n // (2 * m), 2, m))
-        a = y[..., 0, :]
-        b = y[..., 1, :] * tw
-        y = np.concatenate([a + b, a - b], axis=-1).reshape(lead + (n,))
-        m *= 2
-    if inverse:
-        y /= n
-    return y
+    _check_pow2(x.shape[-1], "fft_1d")
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 def fft_2d(x, inverse=False):
     """2-D DFT over the last two axes (both extents powers of two)."""
-    y = fft_1d(x, inverse=inverse)
-    y = fft_1d(np.swapaxes(y, -1, -2), inverse=inverse)
-    return np.swapaxes(y, -1, -2)
+    x = np.asarray(x, dtype=np.complex128)
+    _check_pow2(x.shape[-1], "fft_2d")
+    _check_pow2(x.shape[-2], "fft_2d")
+    return np.fft.ifft2(x) if inverse else np.fft.fft2(x)
 
 
 def affine_fit(reference, candidate):
@@ -148,3 +133,18 @@ def affine_fit(reference, candidate):
     a = np.dot(x - mx, xh - mxh) / var
     b = a * mxh - mx
     return float(a), float(b)
+
+
+def snr(reference, candidate) -> float:
+    """Affine-calibrated SNR (dB): 20 log10 ||x|| / min_{a,b} ||x - a*xhat + b||,
+    capped at +300 dB for numerically exact matches."""
+    ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
+    cand = np.asarray(getattr(candidate, "values", candidate), dtype=np.float64)
+    if ref.shape != cand.shape:
+        raise ValueError("snr needs equal-shaped inputs")
+    a, b = affine_fit(ref, cand)
+    resid = np.linalg.norm(ref - a * cand + b)
+    num = np.linalg.norm(ref)
+    if resid <= 1e-15 * max(num, 1.0):
+        return SNR_CAP_DB
+    return float(min(SNR_CAP_DB, 20.0 * np.log10(num / resid)))

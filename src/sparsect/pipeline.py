@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .numerics import Rng, affine_fit
+from .numerics import Rng, snr, SNR_CAP_DB
 from .projector import uniform_geometry
 from .phantom import random_phantom, rasterize, analytic_sinogram, save_phantom
 from .fbp import make_ramp, fbp_reconstruct, subsample_views
@@ -23,23 +23,6 @@ from . import formats
 
 __all__ = ["ExperimentManifest", "ResultTable", "snr", "golden_section",
            "run_experiment", "SNR_CAP_DB"]
-
-SNR_CAP_DB = 300.0
-
-
-def snr(reference, candidate) -> float:
-    """Affine-calibrated SNR (dB): 20 log10 ||x|| / min_{a,b} ||x - a*xhat + b||,
-    capped at +300 dB for numerically exact matches."""
-    ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
-    cand = np.asarray(getattr(candidate, "values", candidate), dtype=np.float64)
-    if ref.shape != cand.shape:
-        raise ValueError("snr needs equal-shaped inputs")
-    a, b = affine_fit(ref, cand)
-    resid = np.linalg.norm(ref - a * cand + b)
-    num = np.linalg.norm(ref)
-    if resid <= 1e-15 * max(num, 1.0):
-        return SNR_CAP_DB
-    return float(min(SNR_CAP_DB, 20.0 * np.log10(num / resid)))
 
 
 def golden_section(fn, lo, hi, iters=10):

@@ -51,6 +51,14 @@ class Geometry:
         return Geometry(tuple(angles), self.n_bins, self.det_spacing,
                         self.image_side, self.pixel_spacing)
 
+    def with_side(self, side):
+        """Same detector and field of view on a side x side pixel grid."""
+        if side == self.image_side:
+            return self
+        fov = self.image_side * self.pixel_spacing
+        return Geometry(tuple(self.angles), self.n_bins, self.det_spacing,
+                        side, fov / side)
+
 
 def uniform_geometry(image_side, n_views, fov_radius=1.0, bins_per_pixel=2.0):
     """Geometry with angles i*pi/n_views and a detector covering the diagonal.
@@ -96,6 +104,8 @@ class Sinogram:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (self.geometry.n_views, self.geometry.n_bins):
             raise ValueError("sinogram dimensions do not match geometry")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("sinogram values must be finite")
         self.values = v
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, fft_2d
+from .numerics import Rng
 from .projector import (Geometry, Image, Sinogram, forward, adjoint,
                         normal_operator)
 
@@ -122,8 +122,9 @@ def estimate_lipschitz(geometry: Geometry, iters=50, rng: Rng = None,
                        levels=3, op=None) -> float:
     """Power iteration on W*H*HW, times a 1.05 safety factor.
 
-    `op` overrides the normal operator H*H (callable on value arrays), which
-    is mainly useful for testing against operators with known spectra.
+    `op` is the normal operator H*H (callable on value arrays), built from
+    `geometry` when omitted; a solver passes the one it already holds, and
+    tests pass operators with known spectra.
     """
     if iters < 10:
         raise ValueError("estimate_lipschitz needs iters >= 10")
@@ -165,9 +166,10 @@ def ista_reconstruct(sinogram: Sinogram, config: SolverConfig,
     pairs.
     """
     geom = sinogram.geometry
+    nop = normal_operator(geom)
     L = config.step_inverse
     if L is None:
-        L = estimate_lipschitz(geom, rng=Rng(0), levels=config.levels)
+        L = estimate_lipschitz(geom, rng=Rng(0), levels=config.levels, op=nop)
     if L <= 0:
         raise SolverError("step_inverse must be positive")
     levels = config.levels
@@ -178,7 +180,6 @@ def ista_reconstruct(sinogram: Sinogram, config: SolverConfig,
     t = 1.0
     prev_obj = np.inf
     bad = 0
-    nop = normal_operator(geom)
     for k in range(config.max_iters):
         if config.fista:
             t_next = _fista_t_next(t)
@@ -241,20 +242,16 @@ def _tv_prox(gx, gy, theta, mode):
     return gx * scale, gy * scale
 
 
-def _fourier_preconditioner(geom: Geometry, rho: float):
+def _fourier_preconditioner(nop, side: int, rho: float):
     """Inverse spectrum of (H*H + rho D*D) assuming both act as convolutions.
 
-    The H*H part uses the measured central impulse response (the certified
-    convolution kernel); the D*D part is the periodic Laplacian spectrum.
+    The H*H part is the impulse response of the normal operator `nop` at the
+    grid center (the certified convolution kernel); the D*D part is the
+    periodic Laplacian spectrum.
     """
-    side = geom.image_side
     delta = np.zeros((side, side))
     delta[side // 2, side // 2] = 1.0
-    h = normal_operator(geom)(delta)
-    if side & (side - 1) == 0:
-        spec_h = np.abs(fft_2d(np.fft.ifftshift(h)))
-    else:
-        spec_h = np.abs(np.fft.fft2(np.fft.ifftshift(h)))
+    spec_h = np.abs(np.fft.fft2(np.fft.ifftshift(nop(delta))))
     w = 2.0 * np.pi * np.fft.fftfreq(side)
     lap = (2.0 - 2.0 * np.cos(w))[:, None] + (2.0 - 2.0 * np.cos(w))[None, :]
     denom = spec_h + rho * lap
@@ -262,8 +259,6 @@ def _fourier_preconditioner(geom: Geometry, rho: float):
     inv = 1.0 / denom
 
     def apply(v):
-        if side & (side - 1) == 0:
-            return fft_2d(fft_2d(v.astype(complex)) * inv, inverse=True).real
         return np.fft.ifft2(np.fft.fft2(v) * inv).real
     return apply
 
@@ -305,7 +300,8 @@ def tv_admm_reconstruct(sinogram: Sinogram, config: SolverConfig,
     hty = adjoint(sinogram).values
     nop = normal_operator(geom)
     rho = config.rho
-    precond = _fourier_preconditioner(geom, 0.0 if config.lam == 0 else rho)
+    precond = _fourier_preconditioner(nop, geom.image_side,
+                                      0.0 if config.lam == 0 else rho)
 
     if config.lam == 0:
         x, resid = _pcg(nop, hty, np.zeros_like(hty), precond,

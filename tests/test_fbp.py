@@ -24,6 +24,13 @@ class TestRampFilter:
         assert filt.n_taps == 65
         assert np.array_equal(filt.taps, filt.taps[::-1])
 
+    @pytest.mark.parametrize("n_bins", [33, 40])
+    def test_make_ramp_equals_scalar_taps(self, n_bins):
+        d = 0.0371
+        filt = make_ramp(n_bins, d)
+        ref = [ramp_tap(n, d) for n in range(-(n_bins - 1), n_bins)]
+        assert np.array_equal(filt.taps, ref)
+
     def test_frequency_response_is_abs_f(self):
         # DTFT of the band-limited ramp at frequency f is |f| for |f| <= nyquist
         d = 0.04
@@ -83,9 +90,11 @@ class TestFbpReconstruct:
     def test_out_side_override(self):
         disk = Phantom([Ellipse(0.0, 0.0, 0.5, 0.5, 0.0, 1.0)])
         geom = uniform_geometry(64, 90)
-        rec = fbp_reconstruct(analytic_sinogram(disk, geom), out_side=32)
-        assert rec.side == 32
-        assert snr(rasterize(disk, 32), rec) > 15.0
+        sino = analytic_sinogram(disk, geom)
+        for rec in (fbp_reconstruct(sino, out_side=32),
+                    deconvolution_form(sino, out_side=32)):
+            assert rec.side == 32
+            assert snr(rasterize(disk, 32), rec) > 15.0
 
 
 class TestDeconvolutionForm:

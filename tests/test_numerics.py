@@ -83,6 +83,9 @@ class TestFft:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             fft_1d(np.zeros(12))
+        for shape in ((8, 12), (12, 8)):
+            with pytest.raises(ValueError):
+                fft_2d(np.zeros(shape))
 
     def test_fft_2d_matches_numpy(self):
         x = Rng(4).normal((16, 16))

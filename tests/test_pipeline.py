@@ -9,6 +9,7 @@ from sparsect.projector import uniform_geometry, Image, Sinogram
 from sparsect.pipeline import (ExperimentManifest, run_experiment, snr,
                                golden_section, SNR_CAP_DB, generate_dataset)
 from sparsect.cli import main
+from sparsect.net import init_params
 
 
 class TestSnr:
@@ -100,6 +101,28 @@ class TestFormats:
         with pytest.raises(ValueError):
             formats.load_image(path)
 
+    @pytest.mark.parametrize("kind", ["sino", "img", "net"])
+    def test_truncation_rejected_at_every_offset(self, tmp_path, kind):
+        path = tmp_path / f"full.{kind}"
+        if kind == "sino":
+            geom = uniform_geometry(8, 3)
+            formats.save_sinogram(Sinogram(geometry=geom, values=Rng(6).normal(
+                (geom.n_views, geom.n_bins))), path)
+            load = formats.load_sinogram
+        elif kind == "img":
+            formats.save_image(Image(Rng(7).normal((6, 6)), 0.25), path)
+            load = formats.load_image
+        else:
+            formats.save_weights(init_params(1, 2, Rng(8)), path)
+            load = formats.load_weights
+        raw = path.read_bytes()
+        load(path)
+        cut = tmp_path / f"cut.{kind}"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match="cut"):
+                load(cut)
+
     def test_pgm_header_and_size(self, tmp_path):
         path = tmp_path / "p.pgm"
         formats.save_pgm(Rng(5).normal((8, 10)), path)
@@ -159,6 +182,16 @@ class TestCli:
 
     def test_runtime_error_exit_code(self, capsys):
         rc = main(["fbp", "--sino", "/nonexistent/file.sino", "--out", "/tmp/x.img"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_truncated_input_exit_code(self, tmp_path, capsys):
+        geom = uniform_geometry(8, 3)
+        path = tmp_path / "t.sino"
+        formats.save_sinogram(Sinogram(geometry=geom, values=np.zeros(
+            (geom.n_views, geom.n_bins))), path)
+        path.write_bytes(path.read_bytes()[:14])  # cut inside the header
+        rc = main(["fbp", "--sino", str(path), "--out", str(tmp_path / "x.img")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 

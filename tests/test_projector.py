@@ -33,6 +33,15 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Geometry((0.0,), 8, 0.01, 64, 0.03125)
 
+    def test_with_side_keeps_field_of_view(self):
+        geom = uniform_geometry(64, 10)
+        half = geom.with_side(32)
+        assert half.image_side == 32
+        assert half.pixel_spacing == 2 * geom.pixel_spacing
+        assert np.array_equal(half.angles, geom.angles)
+        assert (half.n_bins, half.det_spacing) == (geom.n_bins, geom.det_spacing)
+        assert geom.with_side(64) is geom
+
 
 class TestForwardAdjoint:
     def test_dot_test(self):
@@ -85,6 +94,14 @@ class TestForwardAdjoint:
             forward(Image(np.zeros((16, 16)), geom.pixel_spacing), geom)
         with pytest.raises(ValueError):
             Sinogram(geometry=geom, values=np.zeros((4, geom.n_bins)))
+
+    def test_sinogram_rejects_non_finite(self):
+        geom = uniform_geometry(16, 5)
+        for bad in (np.nan, np.inf):
+            values = np.zeros((5, geom.n_bins))
+            values[2, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Sinogram(geometry=geom, values=values)
 
 
 class TestSystemMatrix:

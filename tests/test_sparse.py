@@ -141,17 +141,19 @@ class TestIsta:
 
 class TestTvAdmm:
     def test_lambda_zero_matches_least_squares(self):
-        # well-posed full-view instance: TV with lam=0 is plain least squares
-        geom = uniform_geometry(32, 60)
-        ph = random_phantom(Rng(5))
-        sino = analytic_sinogram(ph, geom)
-        img = tv_admm_reconstruct(sino, SolverConfig(lam=0.0, cg_iters=40,
-                                                     cg_tol=1e-9))
-        mat = system_matrix(geom)
-        x_ls, *_ = np.linalg.lstsq((mat.T @ mat).toarray(),
-                                   mat.T @ sino.values.ravel(), rcond=None)
-        rel = np.linalg.norm(img.values.ravel() - x_ls) / np.linalg.norm(x_ls)
-        assert rel < 1e-4
+        # well-posed full-view instance: TV with lam=0 is plain least squares;
+        # 24 is a side that is not a power of two
+        for side in (32, 24):
+            geom = uniform_geometry(side, 60)
+            ph = random_phantom(Rng(5))
+            sino = analytic_sinogram(ph, geom)
+            img = tv_admm_reconstruct(sino, SolverConfig(lam=0.0, cg_iters=40,
+                                                         cg_tol=1e-9))
+            mat = system_matrix(geom)
+            x_ls, *_ = np.linalg.lstsq((mat.T @ mat).toarray(),
+                                       mat.T @ sino.values.ravel(), rcond=None)
+            rel = np.linalg.norm(img.values.ravel() - x_ls) / np.linalg.norm(x_ls)
+            assert rel < 1e-4
 
     def test_beats_fbp_on_sparse_views(self):
         geom = uniform_geometry(32, 60)
