@@ -34,6 +34,13 @@ class Geometry:
         ang.setflags(write=False)
         if ang.ndim != 1 or len(ang) < 1:
             raise ValueError("geometry needs at least one view angle")
+        if not np.all(np.isfinite(ang)):
+            raise ValueError("angles must be finite")
+        spacings = (self.det_spacing, self.pixel_spacing)
+        if not all(np.isfinite(d) and d > 0 for d in spacings):
+            raise ValueError("spacings must be finite and positive")
+        if self.n_bins < 1 or self.image_side < 1:
+            raise ValueError("n_bins and image_side must be at least 1")
         if np.any(np.diff(ang) <= 0) or ang[0] < 0 or ang[-1] >= np.pi:
             raise ValueError("angles must be strictly increasing within [0, pi)")
         diag = self.image_side * self.pixel_spacing * np.sqrt(2.0)
@@ -86,6 +93,10 @@ class Image:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("image must be square")
+        if v.size == 0:
+            raise ValueError("image must not be empty")
+        if not (np.isfinite(self.pixel_spacing) and self.pixel_spacing > 0):
+            raise ValueError("pixel_spacing must be finite and positive")
         if not np.all(np.isfinite(v)):
             raise ValueError("image values must be finite")
         self.values = v
@@ -149,7 +160,9 @@ def _crossings(theta, geom, side=None, bins=None, lines=None):
 
 
 def forward(image: Image, geometry: Geometry) -> Sinogram:
-    """Ray-driven line integrals with linear interpolation across the lateral axis."""
+    """Ray-driven line integrals with linear interpolation across the lateral axis,
+    gathered from image lines padded with two zeros at each end: crossings are
+    clipped to [-2, side], so every off-grid sample reads zero."""
     if image.side != geometry.image_side:
         raise ValueError("image side does not match geometry")
     if abs(image.pixel_spacing - geometry.pixel_spacing) > 1e-12 * geometry.pixel_spacing:
@@ -160,30 +173,32 @@ def forward(image: Image, geometry: Geometry) -> Sinogram:
     live_rows = np.flatnonzero(np.any(img != 0, axis=1))
     live_cols = np.flatnonzero(np.any(img != 0, axis=0))
     sparse = max(live_rows.size, live_cols.size) * 4 < side
+    flat = [np.pad(grid, ((0, 0), (2, 2))).ravel() for grid in (img.T, img)]
     for vi, theta in enumerate(geometry.angles):
         if sparse:
             lines = live_rows if abs(np.cos(theta)) >= abs(np.sin(theta)) else live_cols
             if lines.size == 0:
                 continue
         else:
-            lines = None
+            lines = np.arange(side)
         drive_rows, j0, frac, weight = _crossings(theta, geometry, lines=lines)
-        grid = img if drive_rows else img.T
-        rows = (np.arange(side) if lines is None else lines)[None, :]
-        j0c = np.clip(j0, 0, side - 1)
-        j1c = np.clip(j0 + 1, 0, side - 1)
-        v0 = grid[rows, j0c] * ((1.0 - frac) * (j0 >= 0) * (j0 <= side - 1))
-        v1 = grid[rows, j1c] * (frac * (j0 >= -1) * (j0 <= side - 2))
-        out[vi] = weight * (v0 + v1).sum(axis=1)
+        idx = np.clip(j0, -2, side, out=j0)
+        idx += lines * (side + 4) + 2
+        v0, v1 = flat[drive_rows].take(idx), flat[drive_rows][1:].take(idx)
+        v1 *= frac
+        v0 *= np.subtract(1.0, frac, out=frac)
+        out[vi] = weight * np.add(v0, v1, out=v0).sum(axis=1)
     return Sinogram(geometry=geometry, values=out)
 
 
 def backproject_values(values: np.ndarray, geom: Geometry, side=None) -> np.ndarray:
     """Transpose-weight back projection onto a grid of extent `side`
-    (default: the geometry's own grid, giving the exact adjoint of `forward`)."""
+    (default: the geometry's own grid, giving the exact adjoint of `forward`).
+    Column- and row-driven views scatter into two accumulators whose lines carry
+    two spare cells at each end for the crossings clipped to [-2, side]."""
     side = geom.image_side if side is None else side
-    acc = np.zeros(side * side)
-    rows = np.arange(side)
+    acc = np.zeros((2, side * (side + 4)))
+    base = np.arange(side) * (side + 4) + 2
     for vi, theta in enumerate(geom.angles):
         row = values[vi]
         nz = np.flatnonzero(row)
@@ -193,17 +208,14 @@ def backproject_values(values: np.ndarray, geom: Geometry, side=None) -> np.ndar
         bins = nz if nz.size * 4 < geom.n_bins else None
         drive_rows, j0, frac, weight = _crossings(theta, geom, side, bins)
         vals = (row[bins] if bins is not None else row)[:, None] * weight
-        base = (rows[None, :] * side) if drive_rows else rows[None, :]
-        stride = 1 if drive_rows else side
-        m0 = (j0 >= 0) & (j0 <= side - 1)
-        m1 = (j0 >= -1) & (j0 <= side - 2)
-        idx0 = base + np.clip(j0, 0, side - 1) * stride
-        idx1 = base + np.clip(j0 + 1, 0, side - 1) * stride
-        w = np.concatenate([(vals * (1.0 - frac) * m0).ravel(),
-                            (vals * frac * m1).ravel()])
-        acc += np.bincount(np.concatenate([idx0.ravel(), idx1.ravel()]),
-                           weights=w, minlength=side * side)
-    return acc.reshape(side, side)
+        idx = np.clip(j0, -2, side, out=j0)
+        idx += base
+        a = acc[int(drive_rows)]
+        a += np.bincount(idx.ravel(), (vals * (1.0 - frac)).ravel(), a.size)
+        # scatter to idx + 1 as the counts at idx shifted by one cell
+        a[1:] += np.bincount(idx.ravel(), (vals * frac).ravel(), a.size)[:-1]
+    acc = acc.reshape(2, side, side + 4)[:, :, 2:-2]
+    return acc[1] + acc[0].T
 
 
 def adjoint(sinogram: Sinogram) -> Image:
@@ -217,7 +229,9 @@ def backproject_pixel_driven(values: np.ndarray, geom: Geometry, side=None) -> n
     """Smooth back projection: interpolate each view at every pixel's detector
     coordinate and sum.  Not the matrix adjoint of `forward` (the transpose
     scatter has sub-pixel beating when rays are wider than pixels laterally);
-    use this where the result is fed to a high-pass filter.
+    use this where the result is fed to a high-pass filter.  Each view is
+    padded with two zero bins at each end and detector indices are clipped to
+    [-2, n_bins], so pixels that project off the detector read zero.
     """
     side = geom.image_side if side is None else side
     dx = geom.pixel_spacing
@@ -227,15 +241,20 @@ def backproject_pixel_driven(values: np.ndarray, geom: Geometry, side=None) -> n
     y = coords[:, None]
     out = np.zeros((side, side))
     off = (geom.n_bins - 1) / 2.0
+    padded = np.pad(values, ((0, 0), (2, 2)))
     for vi, theta in enumerate(geom.angles):
-        s = (x * np.cos(theta) + y * np.sin(theta)) / geom.det_spacing + off
+        s = x * np.cos(theta) + y * np.sin(theta)
+        s /= geom.det_spacing
+        s += off
         b0 = np.floor(s).astype(np.int64)
-        frac = s - b0
-        row = values[vi]
-        b0c = np.clip(b0, 0, geom.n_bins - 1)
-        b1c = np.clip(b0 + 1, 0, geom.n_bins - 1)
-        out += row[b0c] * ((1.0 - frac) * (b0 >= 0) * (b0 <= geom.n_bins - 1))
-        out += row[b1c] * (frac * (b0 >= -1) * (b0 <= geom.n_bins - 2))
+        frac = np.subtract(s, b0, out=s)
+        idx = np.clip(b0, -2, geom.n_bins, out=b0)
+        idx += 2
+        v0, v1 = padded[vi].take(idx), padded[vi, 1:].take(idx)
+        v1 *= frac
+        v0 *= np.subtract(1.0, frac, out=frac)
+        out += v0
+        out += v1
     return out
 
 

@@ -1,4 +1,6 @@
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -72,6 +74,19 @@ class TestManifest:
         assert ExperimentManifest.load(path).seed == 4
 
 
+def _nan_angle_sino(tmp_path):
+    """A .sino file whose view angles are all NaN."""
+    geom = uniform_geometry(8, 3)
+    path = tmp_path / "nan.sino"
+    formats.save_sinogram(Sinogram(geometry=geom, values=np.zeros(
+        (geom.n_views, geom.n_bins))), path)
+    raw = bytearray(path.read_bytes())
+    angles_at = 8 + 12 + 8 + 4 + 8  # magic, counts, det_spacing, side, pixel_spacing
+    raw[angles_at:angles_at + 24] = np.full(3, np.nan, "<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    return path
+
+
 class TestFormats:
     def test_sinogram_roundtrip(self, tmp_path):
         geom = uniform_geometry(32, 11)
@@ -122,6 +137,16 @@ class TestFormats:
             cut.write_bytes(raw[:n])
             with pytest.raises(ValueError, match="cut"):
                 load(cut)
+
+    def test_nan_angles_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="finite"):
+            formats.load_sinogram(_nan_angle_sino(tmp_path))
+
+    def test_empty_image_rejected(self, tmp_path):
+        path = tmp_path / "empty.img"
+        path.write_bytes(formats.IMG_MAGIC + struct.pack("<Id", 0, 0.1))
+        with pytest.raises(ValueError, match="empty"):
+            formats.load_image(path)
 
     def test_pgm_header_and_size(self, tmp_path):
         path = tmp_path / "p.pgm"
@@ -194,6 +219,28 @@ class TestCli:
         rc = main(["fbp", "--sino", str(path), "--out", str(tmp_path / "x.img")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_angles_exit_code(self, tmp_path, capsys):
+        path = _nan_angle_sino(tmp_path)
+        rc = main(["fbp", "--sino", str(path), "--out", str(tmp_path / "x.img")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_eval_empty_image_exit_code(self, tmp_path, capsys):
+        ref = tmp_path / "ref.img"
+        formats.save_image(Image(Rng(9).normal((8, 8)), 0.25), ref)
+        empty = tmp_path / "empty.img"
+        empty.write_bytes(formats.IMG_MAGIC + struct.pack("<Id", 0, 0.1))
+        rc = main(["eval", "--reference", str(ref), "--candidate", str(empty)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_bench_command(self, capsys):
+        assert main(["bench", "--side", "16", "--n-views", "8"]) == 0
+        out = capsys.readouterr().out
+        for name in ("forward", "adjoint", "fbp"):
+            assert re.search(rf"\b{name} \d+\.\d+s", out), out
+        assert "(16^2, 8 views)" in out
 
     def test_end_to_end_flow(self, tmp_path, capsys):
         d = str(tmp_path)

@@ -5,7 +5,8 @@ from sparsect.numerics import Rng
 from sparsect.projector import (Geometry, Image, Sinogram, uniform_geometry,
                                 forward, adjoint, backproject_values,
                                 backproject_pixel_driven, system_matrix,
-                                normal_operator, certify_normal_convolution)
+                                normal_operator, certify_normal_convolution,
+                                _crossings)
 from sparsect.phantom import Ellipse, Phantom, analytic_sinogram, rasterize
 
 
@@ -28,6 +29,21 @@ class TestGeometry:
             Geometry((0.0, 0.0), 101, 0.02, 32, 0.0625)
         with pytest.raises(ValueError):
             Geometry((0.0, np.pi), 101, 0.02, 32, 0.0625)
+
+    @pytest.mark.parametrize("args", [
+        ((np.nan, np.nan), 201, 0.02, 32, 0.0625),
+        ((0.0, np.nan), 201, 0.02, 32, 0.0625),
+        ((0.0, 1.0), 201, np.nan, 32, 0.0625),
+        ((0.0, 1.0), 201, np.inf, 32, 0.0625),
+        ((0.0, 1.0), 201, -0.02, 32, 0.0625),
+        ((0.0, 1.0), 201, 0.02, 32, np.nan),
+        ((0.0, 1.0), 201, 0.02, 32, 0.0),
+        ((0.0, 1.0), 0, 0.02, 0, 0.0625),
+        ((0.0, 1.0), 201, 0.02, 0, 0.0625),
+    ])
+    def test_rejects_non_finite_or_empty_fields(self, args):
+        with pytest.raises(ValueError):
+            Geometry(*args)
 
     def test_rejects_short_detector(self):
         with pytest.raises(ValueError):
@@ -95,6 +111,14 @@ class TestForwardAdjoint:
         with pytest.raises(ValueError):
             Sinogram(geometry=geom, values=np.zeros((4, geom.n_bins)))
 
+    @pytest.mark.parametrize("values, spacing", [
+        (np.zeros((0, 0)), -1.0), (np.zeros((0, 0)), 0.1),
+        (np.zeros((4, 4)), np.nan), (np.zeros((4, 4)), 0.0), (np.zeros((4, 4)), -0.1),
+    ])
+    def test_image_rejects_empty_or_bad_spacing(self, values, spacing):
+        with pytest.raises(ValueError):
+            Image(values, spacing)
+
     def test_sinogram_rejects_non_finite(self):
         geom = uniform_geometry(16, 5)
         for bad in (np.nan, np.inf):
@@ -102,6 +126,122 @@ class TestForwardAdjoint:
             values[2, 3] = bad
             with pytest.raises(ValueError, match="finite"):
                 Sinogram(geometry=geom, values=values)
+
+
+def _masked_forward(img, geom, lines_for=None):
+    """Per-view Joseph gather with explicit range masks (reference)."""
+    side = geom.image_side
+    out = np.zeros((geom.n_views, geom.n_bins))
+    for vi, theta in enumerate(geom.angles):
+        lines = None if lines_for is None else lines_for(theta)
+        drive_rows, j0, frac, weight = _crossings(theta, geom, lines=lines)
+        grid = img if drive_rows else img.T
+        rows = (np.arange(side) if lines is None else lines)[None, :]
+        j0c = np.clip(j0, 0, side - 1)
+        j1c = np.clip(j0 + 1, 0, side - 1)
+        v0 = grid[rows, j0c] * ((1.0 - frac) * (j0 >= 0) * (j0 <= side - 1))
+        v1 = grid[rows, j1c] * (frac * (j0 >= -1) * (j0 <= side - 2))
+        out[vi] = weight * (v0 + v1).sum(axis=1)
+    return out
+
+
+def _masked_backproject(values, geom, side=None, bins=None):
+    """Per-view transpose scatter with explicit range masks (reference)."""
+    side = geom.image_side if side is None else side
+    acc = np.zeros(side * side)
+    rows = np.arange(side)
+    for vi, theta in enumerate(geom.angles):
+        drive_rows, j0, frac, weight = _crossings(theta, geom, side, bins)
+        vals = (values[vi] if bins is None else values[vi, bins])[:, None] * weight
+        base = (rows[None, :] * side) if drive_rows else rows[None, :]
+        stride = 1 if drive_rows else side
+        m0 = (j0 >= 0) & (j0 <= side - 1)
+        m1 = (j0 >= -1) & (j0 <= side - 2)
+        idx0 = base + np.clip(j0, 0, side - 1) * stride
+        idx1 = base + np.clip(j0 + 1, 0, side - 1) * stride
+        w = np.concatenate([(vals * (1.0 - frac) * m0).ravel(),
+                            (vals * frac * m1).ravel()])
+        acc += np.bincount(np.concatenate([idx0.ravel(), idx1.ravel()]),
+                           weights=w, minlength=side * side)
+    return acc.reshape(side, side)
+
+
+def _masked_pixel_driven(values, geom, side=None):
+    """Per-view pixel-driven interpolation with explicit range masks (reference)."""
+    side = geom.image_side if side is None else side
+    coords = (np.arange(side) - (side - 1) / 2.0) * geom.pixel_spacing
+    x, y = coords[None, :], coords[:, None]
+    out = np.zeros((side, side))
+    off = (geom.n_bins - 1) / 2.0
+    n = geom.n_bins
+    for vi, theta in enumerate(geom.angles):
+        s = (x * np.cos(theta) + y * np.sin(theta)) / geom.det_spacing + off
+        b0 = np.floor(s).astype(np.int64)
+        frac = s - b0
+        row = values[vi]
+        out += row[np.clip(b0, 0, n - 1)] * ((1.0 - frac) * (b0 >= 0) * (b0 <= n - 1))
+        out += row[np.clip(b0 + 1, 0, n - 1)] * (frac * (b0 >= -1) * (b0 <= n - 2))
+    return out
+
+
+def _assert_close_to_max(a, ref, rtol=1e-13):
+    assert np.abs(a - ref).max() <= rtol * np.abs(ref).max()
+
+
+class TestKernelsMatchMaskedReference:
+    """The zero-padded kernels against the masked per-view formulas, on
+    pitches finer and coarser than a pixel and on angles where the driving
+    axis switches (0, pi/4, pi/2, 3pi/4)."""
+
+    @pytest.fixture(params=[(24, 0.5), (24, 4.0), (33, 0.5), (33, 4.0)],
+                    ids=lambda p: f"side{p[0]}-bpp{p[1]}")
+    def geom(self, request):
+        side, bpp = request.param
+        extra = np.random.default_rng(side).uniform(0.0, np.pi, 9)
+        angles = np.unique(np.concatenate([[0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4],
+                                           extra]))
+        return uniform_geometry(side, 4, bins_per_pixel=bpp).with_angles(angles)
+
+    def test_forward_bit_identical(self, geom):
+        side = geom.image_side
+        x = Rng(11).normal((side, side))
+        got = forward(Image(x, geom.pixel_spacing), geom).values
+        assert np.array_equal(got, _masked_forward(x, geom))
+
+    def test_forward_live_lines_bit_identical(self, geom):
+        side = geom.image_side
+        x = np.zeros((side, side))
+        x[side // 2 - 1: side // 2 + 2, 3:6] = Rng(12).normal((3, 3))
+        rows = np.flatnonzero(np.any(x != 0, axis=1))
+        cols = np.flatnonzero(np.any(x != 0, axis=0))
+
+        def live(theta):
+            return rows if abs(np.cos(theta)) >= abs(np.sin(theta)) else cols
+        got = forward(Image(x, geom.pixel_spacing), geom).values
+        assert np.array_equal(got, _masked_forward(x, geom, live))
+
+    @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
+    def test_backproject_values(self, geom, ext):
+        side = None if ext is None else ext * geom.image_side + 1
+        y = Rng(13).normal((geom.n_views, geom.n_bins))
+        _assert_close_to_max(backproject_values(y, geom, side),
+                             _masked_backproject(y, geom, side))
+
+    @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
+    def test_backproject_sparse_bins(self, geom, ext):
+        side = None if ext is None else ext * geom.image_side + 1
+        bins = np.array([0, geom.n_bins // 2, geom.n_bins - 1])
+        y = np.zeros((geom.n_views, geom.n_bins))
+        y[:, bins] = Rng(14).normal((geom.n_views, 3))
+        _assert_close_to_max(backproject_values(y, geom, side),
+                             _masked_backproject(y, geom, side, bins))
+
+    @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
+    def test_pixel_driven_bit_identical(self, geom, ext):
+        side = None if ext is None else ext * geom.image_side + 1
+        y = Rng(15).normal((geom.n_views, geom.n_bins))
+        assert np.array_equal(backproject_pixel_driven(y, geom, side),
+                              _masked_pixel_driven(y, geom, side))
 
 
 class TestSystemMatrix:
