@@ -7,7 +7,9 @@ encoder-decoder: same-size conv, relu, 2x2 max pooling, nearest-neighbor
 upsampling, channel concat, add.
 
 Feature maps are (channels, height, width).  Conv kernels are
-(out_ch, in_ch, kh, kw).
+(out_ch, in_ch, kh, kw).  conv2d pads its input into a flat buffer whose
+rows are w + kw - 1 wide, so every kernel tap is one matmul on a contiguous
+view of it, with no copy per tap.
 """
 
 import numpy as np
@@ -57,15 +59,22 @@ def backward(root: Var, seed):
             node.grad_fn(node.grad)
 
 
-def _pad_hw(x, pt, pb, pl, pr):
-    return np.pad(x, ((0, 0), (pt, pb), (pl, pr)))
-
-
 def conv2d(x: Var, w: Var, b: Var):
     """Same-size 2-D correlation with zero padding.
 
     Odd kernels pad symmetrically; even kernels pad one less on the top/left.
-    Implemented as kh*kw shifted matmuls (fast for small kernels).
+
+    The input is zero-padded once into a (c, rows, pitch) buffer, pitch =
+    w + kw - 1, and viewed flat: the window of tap (dy, dx) is then the
+    contiguous column range [o, o + h*pitch) with o = dy*pitch + dx, so each
+    tap is one matmul on a view.  The kw - 1 scratch columns per row are
+    dropped at the end; for kw > 1 a spare zero row takes the last tap's
+    overrun.  The input gradient runs the same layout in reverse, and the
+    weight gradient contracts with a channels-last copy of the buffer.
+    Taps are summed in a fixed order with the operand layouts of one
+    tensordot per tap, which on the network's layer shapes at 64^2 gives
+    the tensordot result bit for bit (BLAS rounding can depend on the row
+    length, so other shapes may differ at rounding level).
     """
     xv, wv, bv = x.value, w.value, b.value
     oc, ic, kh, kw = wv.shape
@@ -73,28 +82,38 @@ def conv2d(x: Var, w: Var, b: Var):
     if c != ic:
         raise ValueError(f"conv2d channel mismatch: input {c}, kernel {ic}")
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    pb, pr = kh - 1 - pt, kw - 1 - pl
-    xpad = _pad_hw(xv, pt, pb, pl, pr)
-    out = np.empty((oc, h, ww_), dtype=xv.dtype)
-    out[:] = bv[:, None, None]
-    for dy in range(kh):
-        for dx in range(kw):
-            out += np.tensordot(wv[:, :, dy, dx], xpad[:, dy:dy + h, dx:dx + ww_],
-                                axes=([1], [0]))
+    pitch = ww_ + kw - 1
+    n = h * pitch
+    xpad = np.zeros((c, h + kh - 1 + (kw > 1), pitch), dtype=xv.dtype)
+    xpad[:, pt:pt + h, pl:pl + ww_] = xv
+    xf = xpad.reshape(c, -1)
+    taps = [(dy, dx, dy * pitch + dx) for dy in range(kh) for dx in range(kw)]
+    acc = np.empty((oc, n), dtype=xv.dtype)
+    acc[:] = bv[:, None]
+    for dy, dx, o in taps:
+        acc += np.dot(wv[:, :, dy, dx], xf[:, o:o + n])
+    out = acc.reshape(oc, h, pitch)[:, :, :ww_]
 
     def grad_fn(g):
-        w.grad += np.stack([
-            np.stack([
-                np.tensordot(g, xpad[:, dy:dy + h, dx:dx + ww_], axes=([1, 2], [1, 2]))
-                for dx in range(kw)], axis=-1)
-            for dy in range(kh)], axis=-2)
+        g2 = g.reshape(oc, -1)
+        if kw == 1:
+            # pitch == w: the flat window, transposed, is the very (h*w, ic)
+            # view tensordot hands to BLAS, so the rounding matches
+            for dy, dx, o in taps:
+                w.grad[:, :, dy, dx] += np.dot(g2, xf[:, o:o + n].T)
+        else:
+            xt = np.ascontiguousarray(xpad.transpose(1, 2, 0))
+            for dy, dx, o in taps:
+                w.grad[:, :, dy, dx] += np.dot(
+                    g2, xt[dy:dy + h, dx:dx + ww_].reshape(-1, ic))
         b.grad += g.sum(axis=(1, 2))
-        gxpad = np.zeros_like(xpad)
-        for dy in range(kh):
-            for dx in range(kw):
-                gxpad[:, dy:dy + h, dx:dx + ww_] += np.tensordot(
-                    wv[:, :, dy, dx].T, g, axes=([1], [0]))
-        x.grad += gxpad[:, pt:pt + h, pl:pl + ww_]
+        gpad = np.zeros((oc, h, pitch), dtype=g.dtype)
+        gpad[:, :, :ww_] = g
+        gf = gpad.reshape(oc, n)
+        gx = np.zeros_like(xf)
+        for dy, dx, o in taps:
+            gx[:, o:o + n] += np.dot(wv[:, :, dy, dx].T, gf)
+        x.grad += gx.reshape(xpad.shape)[:, pt:pt + h, pl:pl + ww_]
 
     return Var(out, parents=(x, w, b), grad_fn=grad_fn)
 

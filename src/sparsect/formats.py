@@ -63,8 +63,11 @@ def load_sinogram(path) -> Sinogram:
         angles = np.frombuffer(_read(fh, 8 * n_views, path, "angles"), "<f8")
         values = np.frombuffer(_read(fh, 8 * n_views * n_bins, path, "values"),
                                "<f8").reshape(n_views, n_bins)
+    try:
         geom = Geometry(tuple(angles), n_bins, det_spacing, image_side, pixel_spacing)
         return Sinogram(geometry=geom, values=values.copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_image(image: Image, path):
@@ -81,7 +84,10 @@ def load_image(path) -> Image:
         side, pixel_spacing = _unpack(fh, "<Id", path, "header")
         values = np.frombuffer(_read(fh, 8 * side * side, path, "values"),
                                "<f8").reshape(side, side)
+    try:
         return Image(values=values.copy(), pixel_spacing=pixel_spacing)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_pgm(values, path, bits=16, window=None):

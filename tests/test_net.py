@@ -8,25 +8,130 @@ from sparsect.net import (NetworkParams, TrainConfig, layer_specs, init_params,
 from sparsect import formats
 
 
+def _conv2d_tensordot(x, w, b):
+    """conv2d as one tensordot per tap on padded slices: the reference that
+    the flat-padded conv2d must reproduce bit for bit."""
+    xv, wv, bv = x.value, w.value, b.value
+    oc, ic, kh, kw = wv.shape
+    _, h, ww_ = xv.shape
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    xpad = np.pad(xv, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
+    out = np.empty((oc, h, ww_), dtype=xv.dtype)
+    out[:] = bv[:, None, None]
+    for dy in range(kh):
+        for dx in range(kw):
+            out += np.tensordot(wv[:, :, dy, dx], xpad[:, dy:dy + h, dx:dx + ww_],
+                                axes=([1], [0]))
+
+    def grad_fn(g):
+        w.grad += np.stack([
+            np.stack([
+                np.tensordot(g, xpad[:, dy:dy + h, dx:dx + ww_], axes=([1, 2], [1, 2]))
+                for dx in range(kw)], axis=-1)
+            for dy in range(kh)], axis=-2)
+        b.grad += g.sum(axis=(1, 2))
+        gxpad = np.zeros_like(xpad)
+        for dy in range(kh):
+            for dx in range(kw):
+                gxpad[:, dy:dy + h, dx:dx + ww_] += np.tensordot(
+                    wv[:, :, dy, dx].T, g, axes=([1], [0]))
+        x.grad += gxpad[:, pt:pt + h, pl:pl + ww_]
+
+    return ad.Var(out, parents=(x, w, b), grad_fn=grad_fn)
+
+
+def _network_conv_shapes(depth=3, base_channels=16, side=64):
+    """{layer name: (out_ch, in_ch, kh, kw, height, width)}, one entry per
+    distinct conv shape of the network at side^2."""
+    shapes = {}
+    for name, oc, ic, kh, kw in layer_specs(depth, base_channels):
+        if name.startswith(("enc", "dec")):
+            level = int(name[3])
+        else:
+            level = depth if name.startswith("mid") else 0
+        s = side >> level
+        if (oc, ic, kh, kw, s, s) not in shapes.values():
+            shapes[name] = (oc, ic, kh, kw, s, s)
+    return shapes
+
+
+CONV_SHAPES = {**_network_conv_shapes(),
+               "nonsquare_3x3": (3, 2, 3, 3, 7, 10),
+               "nonsquare_2x2": (3, 2, 2, 2, 6, 9),
+               "nonsquare_1x3": (3, 2, 1, 3, 5, 8),
+               "nonsquare_3x1": (3, 2, 3, 1, 5, 8)}
+
+
+def _conv_and_grads(conv, x, w, b, seed):
+    xv, wv, bv = ad.Var(x), ad.Var(w), ad.Var(b)
+    out = conv(xv, wv, bv)
+    ad.backward(out, seed)
+    return out.value, xv.grad, wv.grad, bv.grad
+
+
+class TestConvMatchesTensordotReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(CONV_SHAPES))
+    def test_output_and_gradients_bit_identical(self, name, dtype):
+        oc, ic, kh, kw, h, w = CONV_SHAPES[name]
+        rng = Rng(20)
+        args = [rng.normal(shape).astype(dtype) for shape in
+                ((ic, h, w), (oc, ic, kh, kw), (oc,), (oc, h, w))]
+        got = _conv_and_grads(ad.conv2d, *args)
+        want = _conv_and_grads(_conv2d_tensordot, *args)
+        for label, a, e in zip(("output", "x.grad", "w.grad", "b.grad"), got, want):
+            assert a.shape == e.shape and a.dtype == e.dtype, label
+            assert np.array_equal(a, e), label
+
+    def test_training_run_bit_identical(self, monkeypatch):
+        rng = Rng(21)
+        pairs = [((50.0 * rng.normal((64, 64))).astype(np.float32),
+                  (50.0 * rng.normal((64, 64))).astype(np.float32))
+                 for _ in range(3)]
+        start = init_params(3, 16, Rng(22))
+        got, h_got = train(start, pairs, TrainConfig(epochs=2), Rng(23))
+        monkeypatch.setattr(ad, "conv2d", _conv2d_tensordot)
+        want, h_want = train(start, pairs, TrainConfig(epochs=2), Rng(23))
+        assert [row[:2] for row in h_got] == [row[:2] for row in h_want]
+        assert not np.array_equal(got.weights["enc0_conv1.w"],
+                                  start.weights["enc0_conv1.w"])
+        for k in want.weights:
+            assert np.array_equal(got.weights[k], want.weights[k]), k
+
+
 class TestAutodiffOps:
-    def test_conv2d_matches_scipy(self):
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((2, 9, 9), (3, 2, 3, 3)),
+        ((2, 7, 10), (3, 2, 3, 3)),
+        ((2, 7, 10), (3, 2, 2, 2)),
+        ((2, 7, 10), (3, 2, 1, 1)),
+        ((2, 7, 10), (3, 2, 1, 3)),
+        ((2, 10, 7), (3, 2, 3, 1)),
+    ], ids=["9x9-k3x3", "7x10-k3x3", "7x10-k2x2", "7x10-k1x1", "7x10-k1x3",
+            "10x7-k3x1"])
+    def test_conv2d_matches_scipy(self, x_shape, w_shape):
         from scipy.signal import correlate2d
         rng = Rng(0)
-        x = rng.normal((2, 9, 9))
-        w = rng.normal((3, 2, 3, 3))
+        x = rng.normal(x_shape)
+        w = rng.normal(w_shape)
         b = rng.normal(3)
         out = ad.conv2d(ad.Var(x), ad.Var(w), ad.Var(b)).value
+        assert out.shape == (3,) + x_shape[1:]
         for oc in range(3):
             expected = b[oc] + sum(
                 correlate2d(x[ic], w[oc, ic], mode="same") for ic in range(2))
             assert np.allclose(out[oc], expected, atol=1e-12)
 
-    def test_conv2d_gradients_finite_difference(self):
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((2, 6, 6), (2, 2, 3, 3)),
+        ((2, 5, 7), (3, 2, 2, 3)),
+    ], ids=["6x6-k3x3", "5x7-k2x3"])
+    def test_conv2d_gradients_finite_difference(self, x_shape, w_shape):
         rng = Rng(1)
-        x = rng.normal((2, 6, 6))
-        w = rng.normal((2, 2, 3, 3))
-        b = rng.normal(2)
-        seed = rng.normal((2, 6, 6))
+        x = rng.normal(x_shape)
+        w = rng.normal(w_shape)
+        b = rng.normal(w_shape[0])
+        seed = rng.normal((w_shape[0],) + x_shape[1:])
 
         def loss(xv, wv, bv):
             return np.sum(ad.conv2d(ad.Var(xv), ad.Var(wv), ad.Var(bv)).value * seed)

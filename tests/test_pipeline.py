@@ -218,13 +218,15 @@ class TestCli:
         path.write_bytes(path.read_bytes()[:14])  # cut inside the header
         rc = main(["fbp", "--sino", str(path), "--out", str(tmp_path / "x.img")])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and str(path) in err, err
 
     def test_nan_angles_exit_code(self, tmp_path, capsys):
         path = _nan_angle_sino(tmp_path)
         rc = main(["fbp", "--sino", str(path), "--out", str(tmp_path / "x.img")])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and str(path) in err, err
 
     def test_eval_empty_image_exit_code(self, tmp_path, capsys):
         ref = tmp_path / "ref.img"
@@ -233,14 +235,21 @@ class TestCli:
         empty.write_bytes(formats.IMG_MAGIC + struct.pack("<Id", 0, 0.1))
         rc = main(["eval", "--reference", str(ref), "--candidate", str(empty)])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and str(empty) in err, err
 
     def test_bench_command(self, capsys):
         assert main(["bench", "--side", "16", "--n-views", "8"]) == 0
         out = capsys.readouterr().out
-        for name in ("forward", "adjoint", "fbp"):
+        for name in ("forward", "adjoint", "fbp", "sgd_step"):
             assert re.search(rf"\b{name} \d+\.\d+s", out), out
         assert "(16^2, 8 views)" in out
+
+    def test_bench_skips_sgd_step_on_odd_side(self, capsys):
+        assert main(["bench", "--side", "12", "--n-views", "8"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\bfbp \d+\.\d+s", out), out
+        assert "sgd_step skipped" in out and "not divisible by 8" in out, out
 
     def test_end_to_end_flow(self, tmp_path, capsys):
         d = str(tmp_path)
