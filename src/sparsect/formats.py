@@ -13,11 +13,14 @@ Weights (.net):    magic "SPCTNET1", u32 depth, u32 base_channels,
     u32 dims[ndim], f32 data.
 """
 
+import math
+import os
+import stat
 import struct
 
 import numpy as np
 
-from .net import NetworkParams
+from .net import NetworkParams, layer_specs
 from .projector import Geometry, Image, Sinogram
 
 SINO_MAGIC = b"SPCTSINO"
@@ -38,7 +41,14 @@ def save_sinogram(sino: Sinogram, path):
 
 
 def _read(fh, size, path, field):
-    """Exactly `size` bytes of `field`, or ValueError naming file and field."""
+    """Exactly `size` bytes of `field`, or ValueError naming file and field.
+    On a regular file the size is checked against the bytes left before
+    reading, so a corrupt header cannot ask for a buffer larger than the file
+    (pipes have no size and are only checked after the read)."""
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode) and size > info.st_size - fh.tell():
+        raise ValueError(f"{path}: truncated {field} (expected {size} bytes, "
+                         f"{info.st_size - fh.tell()} left)")
     data = fh.read(size)
     if len(data) != size:
         raise ValueError(f"{path}: truncated {field} "
@@ -122,6 +132,8 @@ def save_weights(params: NetworkParams, path):
 
 
 def load_weights(path) -> NetworkParams:
+    """Weights of the network that `layer_specs(depth, base_channels)`
+    describes: exactly its arrays, in its shapes, with finite values."""
     with open(path, "rb") as fh:
         if fh.read(8) != NET_MAGIC:
             raise ValueError(f"{path}: not a weights file")
@@ -132,10 +144,28 @@ def load_weights(path) -> NetworkParams:
             name = _read(fh, nlen, path, f"array {i} name").decode()
             ndim, = _unpack(fh, "<B", path, f"{name} ndim")
             dims = _unpack(fh, f"<{ndim}I", path, f"{name} dims")
-            count = int(np.prod(dims))
+            count = math.prod(dims)
             weights[name] = np.frombuffer(_read(fh, 4 * count, path, f"{name} data"),
                                           "<f4").reshape(dims).copy()
-        return NetworkParams(depth, base_channels, weights)
+    # a depth-d network holds more than d arrays; checked first because
+    # layer_specs loops over the depth read from the header
+    if depth > n_arrays:
+        raise ValueError(f"{path}: depth {depth} does not fit {n_arrays} arrays")
+    shapes = {f"{name}.{part}": shape
+              for name, oc, ic, kh, kw in layer_specs(depth, base_channels)
+              for part, shape in (("w", (oc, ic, kh, kw)), ("b", (oc,)))}
+    if set(weights) != set(shapes):
+        raise ValueError(f"{path}: arrays do not match a depth-{depth}, "
+                         f"{base_channels}-channel network (missing "
+                         f"{sorted(set(shapes) - set(weights))}, unexpected "
+                         f"{sorted(set(weights) - set(shapes))})")
+    for name, arr in weights.items():
+        if arr.shape != shapes[name]:
+            raise ValueError(f"{path}: {name} has shape {arr.shape}, "
+                             f"expected {shapes[name]}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: {name} has non-finite values")
+    return NetworkParams(depth, base_channels, weights)
 
 
 def write_manifest(entries: dict, path):

@@ -7,6 +7,12 @@ y = (i - (side-1)/2) * dx.  A view at angle theta measures along rays
 perpendicular to the unit vector u = (cos theta, sin theta); the detector
 coordinate of a point p is p . u, and bin centers are symmetric about the
 rotation axis.
+
+One tap builder, `_taps`, gives the Joseph crossings of a view as indices
+into image lines padded with two cells at each end; `forward` gathers
+through it, `backproject_values` scatters through it and `system_matrix`
+maps the same taps to pixel columns.  `normal_operator` uses the CSR matrix
+for side <= 128 and `forward`/`adjoint` above that.
 """
 
 from dataclasses import dataclass, field
@@ -120,70 +126,56 @@ class Sinogram:
         self.values = v
 
 
-def _view_coefficients(theta, geom):
-    """Joseph driving-axis parameters for one view.
+def _taps(theta, geom, side=None):
+    """Joseph interpolation taps of one view on a grid of extent `side`
+    (default: the geometry's own grid; same pixel spacing and center).
 
-    Returns (drive_rows, slope_s, slope_c, weight): the continuous crossing
-    coordinate for detector offset s and driven-axis coordinate c is
-    slope_s * s + slope_c * c, and each crossing contributes `weight` (the
-    physical path length through one pixel row/column).
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    if abs(c) >= abs(s):
-        # rays closer to vertical: drive along image rows (fixed y)
-        return True, 1.0 / c, -s / c, geom.pixel_spacing / abs(c)
-    return False, 1.0 / s, -c / s, geom.pixel_spacing / abs(s)
-
-
-def _crossings(theta, geom, side=None, bins=None, lines=None):
-    """Interpolation indices/weights for one view.
-
-    Returns (drive_rows, j0, frac, weight) where j0/frac have shape
-    (n_bins, side): the crossing in driven line k falls between lateral pixel
-    indices j0 and j0+1 with linear weight (1-frac, frac).  `side` overrides
-    the grid extent (same pixel spacing, same center) for extended-grid
-    back projection.
+    Returns (drive_rows, idx, frac, weight).  Rays closer to vertical
+    (drive_rows) cross every image row, the others every column; the crossing
+    of bin b with driven line k falls between lateral cells idx[b, k] and
+    idx[b, k] + 1 with linear weights (1 - frac, frac), each scaled by
+    `weight`, the path length through one line.  `idx` indexes the lines laid
+    end to end, each padded with two cells at both ends (side + 4 per line),
+    and the crossing is clipped to [-2, side] first, so any tap off the grid
+    lands on a pad cell.
     """
     side = geom.image_side if side is None else side
     dx = geom.pixel_spacing
-    drive_rows, slope_s, slope_c, weight = _view_coefficients(theta, geom)
+    c, s = np.cos(theta), np.sin(theta)
+    drive_rows = bool(abs(c) >= abs(s))
+    if drive_rows:
+        slope_s, slope_c, weight = 1.0 / c, -s / c, dx / abs(c)
+    else:
+        slope_s, slope_c, weight = 1.0 / s, -c / s, dx / abs(s)
     half = (side - 1) / 2.0
-    axis = ((np.arange(side) if lines is None else lines) - half) * dx
-    centers = geom.bin_centers()
-    if bins is not None:
-        centers = centers[bins]
-    pos = slope_s * centers[:, None] + slope_c * axis[None, :]
+    lines = np.arange(side)
+    pos = slope_s * geom.bin_centers()[:, None] + slope_c * ((lines - half) * dx)[None, :]
     jf = pos / dx + half
     j0 = np.floor(jf).astype(np.int64)
     frac = jf - j0
-    return drive_rows, j0, frac, weight
+    idx = np.clip(j0, -2, side, out=j0)
+    idx += lines * (side + 4) + 2
+    return drive_rows, idx, frac, weight
+
+
+def _padded_lines(grid, fill=0):
+    """[columns, rows] of `grid` as flat lines padded with two `fill` cells at
+    each end, indexed by `_taps`'s (drive_rows, idx)."""
+    return [np.pad(g, ((0, 0), (2, 2)), constant_values=fill).ravel()
+            for g in (grid.T, grid)]
 
 
 def forward(image: Image, geometry: Geometry) -> Sinogram:
-    """Ray-driven line integrals with linear interpolation across the lateral axis,
-    gathered from image lines padded with two zeros at each end: crossings are
-    clipped to [-2, side], so every off-grid sample reads zero."""
+    """Ray-driven line integrals with linear interpolation across the lateral
+    axis, gathered from zero-padded image lines."""
     if image.side != geometry.image_side:
         raise ValueError("image side does not match geometry")
     if abs(image.pixel_spacing - geometry.pixel_spacing) > 1e-12 * geometry.pixel_spacing:
         raise ValueError("image pixel spacing does not match geometry")
-    img = image.values
-    side = geometry.image_side
     out = np.zeros((geometry.n_views, geometry.n_bins))
-    live_rows = np.flatnonzero(np.any(img != 0, axis=1))
-    live_cols = np.flatnonzero(np.any(img != 0, axis=0))
-    sparse = max(live_rows.size, live_cols.size) * 4 < side
-    flat = [np.pad(grid, ((0, 0), (2, 2))).ravel() for grid in (img.T, img)]
+    flat = _padded_lines(image.values)
     for vi, theta in enumerate(geometry.angles):
-        if sparse:
-            lines = live_rows if abs(np.cos(theta)) >= abs(np.sin(theta)) else live_cols
-            if lines.size == 0:
-                continue
-        else:
-            lines = np.arange(side)
-        drive_rows, j0, frac, weight = _crossings(theta, geometry, lines=lines)
-        idx = np.clip(j0, -2, side, out=j0)
-        idx += lines * (side + 4) + 2
+        drive_rows, idx, frac, weight = _taps(theta, geometry)
         v0, v1 = flat[drive_rows].take(idx), flat[drive_rows][1:].take(idx)
         v1 *= frac
         v0 *= np.subtract(1.0, frac, out=frac)
@@ -194,22 +186,13 @@ def forward(image: Image, geometry: Geometry) -> Sinogram:
 def backproject_values(values: np.ndarray, geom: Geometry, side=None) -> np.ndarray:
     """Transpose-weight back projection onto a grid of extent `side`
     (default: the geometry's own grid, giving the exact adjoint of `forward`).
-    Column- and row-driven views scatter into two accumulators whose lines carry
-    two spare cells at each end for the crossings clipped to [-2, side]."""
+    Column- and row-driven views scatter into two padded line-major
+    accumulators whose pad cells are dropped at the end."""
     side = geom.image_side if side is None else side
     acc = np.zeros((2, side * (side + 4)))
-    base = np.arange(side) * (side + 4) + 2
     for vi, theta in enumerate(geom.angles):
-        row = values[vi]
-        nz = np.flatnonzero(row)
-        if nz.size == 0:
-            continue
-        # sparse rows (impulse responses) only touch a few bins
-        bins = nz if nz.size * 4 < geom.n_bins else None
-        drive_rows, j0, frac, weight = _crossings(theta, geom, side, bins)
-        vals = (row[bins] if bins is not None else row)[:, None] * weight
-        idx = np.clip(j0, -2, side, out=j0)
-        idx += base
+        drive_rows, idx, frac, weight = _taps(theta, geom, side)
+        vals = values[vi][:, None] * weight
         a = acc[int(drive_rows)]
         a += np.bincount(idx.ravel(), (vals * (1.0 - frac)).ravel(), a.size)
         # scatter to idx + 1 as the counts at idx shifted by one cell
@@ -261,51 +244,45 @@ def backproject_pixel_driven(values: np.ndarray, geom: Geometry, side=None) -> n
 def system_matrix(geom: Geometry):
     """Sparse CSR matrix of `forward` (rows: view*n_bins + bin, cols: pixels).
 
-    Built from the identical interpolation weights, so matvec/rmatvec agree
-    with forward/adjoint to machine precision.  Intended for small grids
-    where iterative solvers benefit from a materialized operator.
+    Built from the same `_taps` as forward/adjoint: each padded cell maps to
+    its pixel index, or to -1 on the pad cells, whose taps are dropped.
     """
     import scipy.sparse as sp
 
-    side = geom.image_side
+    side, n_bins = geom.image_side, geom.n_bins
+    cell_pixel = _padded_lines(np.arange(side * side).reshape(side, side), fill=-1)
+    bins = np.broadcast_to(np.arange(n_bins)[:, None], (n_bins, side))
     rows, cols, data = [], [], []
-    lines = np.arange(side)
     for vi, theta in enumerate(geom.angles):
-        drive_rows, j0, frac, weight = _crossings(theta, geom)
-        ray_ids = (vi * geom.n_bins + np.arange(geom.n_bins))[:, None]
-        base = lines[None, :] * side if drive_rows else lines[None, :]
-        stride = 1 if drive_rows else side
-        for jj, ww in ((j0, weight * (1.0 - frac)), (j0 + 1, weight * frac)):
-            m = (jj >= 0) & (jj <= side - 1)
-            rows.append(np.broadcast_to(ray_ids, jj.shape)[m])
-            cols.append((base + np.clip(jj, 0, side - 1) * stride)[m])
-            data.append(ww[m])
+        drive_rows, idx, frac, weight = _taps(theta, geom)
+        pixel = cell_pixel[drive_rows]
+        for col, w in ((pixel.take(idx), weight * (1.0 - frac)),
+                       (pixel[1:].take(idx), weight * frac)):
+            m = col >= 0
+            rows.append(bins[m] + vi * n_bins)
+            cols.append(col[m])
+            data.append(w[m])
     mat = sp.coo_matrix((np.concatenate(data),
                          (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(geom.n_views * geom.n_bins, side * side))
+                        shape=(geom.n_views * n_bins, side * side))
     return mat.tocsr()
 
 
-def normal_operator(geometry: Geometry, materialize=None):
-    """Callable applying H*H to a (side, side) value array.
-
-    For small grids (side <= 128 by default) the operator is materialized as
-    a sparse matrix, which is much faster inside iterative solvers.
-    """
-    if materialize is None:
-        materialize = geometry.image_side <= 128
-    if materialize:
-        mat = system_matrix(geometry)
-        mat_t = mat.T.tocsr()
-        side = geometry.image_side
-
+def normal_operator(geometry: Geometry):
+    """Callable applying H*H to a (side, side) value array: through the CSR
+    system matrix and its stored transpose for side <= 128, matrix-free with
+    `forward` and `adjoint` above that (the matrix grows as side cubed)."""
+    side = geometry.image_side
+    if side > 128:
         def apply(values):
-            return (mat_t @ (mat @ values.ravel())).reshape(side, side)
+            img = Image(values=values, pixel_spacing=geometry.pixel_spacing)
+            return adjoint(forward(img, geometry)).values
         return apply
+    mat = system_matrix(geometry)
+    mat_t = mat.T.tocsr()
 
     def apply(values):
-        img = Image(values=values, pixel_spacing=geometry.pixel_spacing)
-        return adjoint(forward(img, geometry)).values
+        return (mat_t @ (mat @ values.ravel())).reshape(side, side)
     return apply
 
 

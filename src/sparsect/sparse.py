@@ -45,6 +45,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.lam < 0 or self.tol < 0 or self.rho <= 0:
             raise ValueError("invalid solver configuration")
+        if self.max_iters < 1 or self.cg_iters < 1:
+            raise ValueError("max_iters and cg_iters must be at least 1")
         if self.tv_mode not in ("isotropic", "anisotropic"):
             raise ValueError(f"unknown tv_mode {self.tv_mode!r}")
 

@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ class TestFormats:
         assert np.array_equal(back.values, img.values)
         assert back.pixel_spacing == img.pixel_spacing
 
+    def test_image_from_pipe(self, tmp_path):
+        img = Image(Rng(4).normal((16, 16)), 0.125)
+        path = tmp_path / "i.img"
+        formats.save_image(img, path)
+        fifo = tmp_path / "pipe.img"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        back = formats.load_image(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(back.values, img.values)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"GARBAGE!" + b"\x00" * 64)
@@ -199,6 +213,13 @@ class TestRunExperiment:
         assert np.array_equal(full[0][2].values, again[0][2].values)
 
 
+def _assert_cli_error(argv, path, capsys):
+    """The CLI exits 1 with an `error:` line that names `path`."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(path) in err, err
+
+
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -237,6 +258,53 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err and str(empty) in err, err
+
+    @pytest.mark.parametrize("kind", ["img", "sino"])
+    def test_header_size_beyond_file_exit_code(self, tmp_path, capsys, kind):
+        # a u32 size field of 0xFFFFFFFF must not reach the read
+        if kind == "img":
+            path = tmp_path / "big.img"
+            path.write_bytes(formats.IMG_MAGIC + struct.pack("<Id", 0xFFFFFFFF, 0.1)
+                             + bytes(64))
+            ref = tmp_path / "ref.img"
+            formats.save_image(Image(Rng(9).normal((8, 8)), 0.25), ref)
+            argv = ["eval", "--reference", str(ref), "--candidate", str(path)]
+        else:
+            path = tmp_path / "big.sino"
+            path.write_bytes(formats.SINO_MAGIC + struct.pack(
+                "<IIIdId", 1, 0xFFFFFFFF, 5, 0.02, 8, 0.25) + bytes(64))
+            argv = ["fbp", "--sino", str(path), "--out", str(tmp_path / "x.img")]
+        _assert_cli_error(argv, path, capsys)
+
+    @pytest.mark.parametrize("fault", ["missing", "shape", "nan", "depth"])
+    def test_apply_rejects_mismatched_weights(self, tmp_path, capsys, fault):
+        params = init_params(1, 2, Rng(8))
+        if fault == "missing":
+            del params.weights["final.w"]
+        elif fault == "shape":
+            params.weights["enc0_conv1.w"] = params.weights["enc0_conv1.w"][:, :, :2, :2]
+        elif fault == "nan":
+            params.weights["mid_conv1.w"][0, 0, 0, 0] = np.nan
+        else:
+            params.depth = 0xFFFFFFFF
+        weights = tmp_path / "w.net"
+        formats.save_weights(params, weights)
+        image = tmp_path / "x.img"
+        formats.save_image(Image(Rng(9).normal((8, 8)), 0.25), image)
+        _assert_cli_error(["apply", "--weights", str(weights), "--image", str(image),
+                           "--out", str(tmp_path / "y.img")], weights, capsys)
+
+    @pytest.mark.parametrize("flag", ["--iters", "--cg-iters"])
+    def test_zero_iterations_exit_code(self, tmp_path, capsys, flag):
+        geom = uniform_geometry(8, 3)
+        path = tmp_path / "s.sino"
+        formats.save_sinogram(Sinogram(geometry=geom, values=np.zeros(
+            (geom.n_views, geom.n_bins))), path)
+        command = "ista" if flag == "--iters" else "tv"
+        rc = main([command, "--sino", str(path), "--out", str(tmp_path / "x.img"),
+                   flag, "0"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_bench_command(self, capsys):
         assert main(["bench", "--side", "16", "--n-views", "8"]) == 0

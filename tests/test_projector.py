@@ -5,8 +5,7 @@ from sparsect.numerics import Rng
 from sparsect.projector import (Geometry, Image, Sinogram, uniform_geometry,
                                 forward, adjoint, backproject_values,
                                 backproject_pixel_driven, system_matrix,
-                                normal_operator, certify_normal_convolution,
-                                _crossings)
+                                normal_operator, certify_normal_convolution)
 from sparsect.phantom import Ellipse, Phantom, analytic_sinogram, rasterize
 
 
@@ -90,14 +89,14 @@ class TestForwardAdjoint:
 
     def test_sparse_fast_paths_match_dense(self):
         geom = uniform_geometry(64, 15)
-        # image supported on a few rows/columns triggers the live-line path
+        # image supported on a few rows/columns
         x = np.zeros((64, 64))
         x[30:33, 28:31] = Rng(2).normal((3, 3))
-        dense = x + 1e-300  # full support, same values: forces the dense path
+        dense = x + 1e-300  # full support, same values
         s_sparse = forward(Image(x, geom.pixel_spacing), geom).values
         s_dense = forward(Image(dense, geom.pixel_spacing), geom).values
         assert np.allclose(s_sparse, s_dense, atol=1e-12)
-        # sinogram supported on a few bins triggers the sparse-bin scatter
+        # sinogram supported on a few bins
         y = np.zeros((geom.n_views, geom.n_bins))
         y[:, geom.n_bins // 2 - 1: geom.n_bins // 2 + 2] = 1.0
         b_sparse = backproject_values(y, geom)
@@ -128,15 +127,41 @@ class TestForwardAdjoint:
                 Sinogram(geometry=geom, values=values)
 
 
-def _masked_forward(img, geom, lines_for=None):
+def _view_coefficients(theta, geom):
+    """Joseph driving-axis parameters for one view (reference)."""
+    c, s = np.cos(theta), np.sin(theta)
+    if abs(c) >= abs(s):
+        return True, 1.0 / c, -s / c, geom.pixel_spacing / abs(c)
+    return False, 1.0 / s, -c / s, geom.pixel_spacing / abs(s)
+
+
+def _crossings(theta, geom, side=None, bins=None):
+    """Unclipped crossing table (drive_rows, j0, frac, weight) of one view,
+    j0/frac of shape (n_bins, side), optionally for a subset of bins
+    (reference)."""
+    side = geom.image_side if side is None else side
+    dx = geom.pixel_spacing
+    drive_rows, slope_s, slope_c, weight = _view_coefficients(theta, geom)
+    half = (side - 1) / 2.0
+    axis = (np.arange(side) - half) * dx
+    centers = geom.bin_centers()
+    if bins is not None:
+        centers = centers[bins]
+    pos = slope_s * centers[:, None] + slope_c * axis[None, :]
+    jf = pos / dx + half
+    j0 = np.floor(jf).astype(np.int64)
+    frac = jf - j0
+    return drive_rows, j0, frac, weight
+
+
+def _masked_forward(img, geom):
     """Per-view Joseph gather with explicit range masks (reference)."""
     side = geom.image_side
     out = np.zeros((geom.n_views, geom.n_bins))
     for vi, theta in enumerate(geom.angles):
-        lines = None if lines_for is None else lines_for(theta)
-        drive_rows, j0, frac, weight = _crossings(theta, geom, lines=lines)
+        drive_rows, j0, frac, weight = _crossings(theta, geom)
         grid = img if drive_rows else img.T
-        rows = (np.arange(side) if lines is None else lines)[None, :]
+        rows = np.arange(side)[None, :]
         j0c = np.clip(j0, 0, side - 1)
         j1c = np.clip(j0 + 1, 0, side - 1)
         v0 = grid[rows, j0c] * ((1.0 - frac) * (j0 >= 0) * (j0 <= side - 1))
@@ -184,6 +209,29 @@ def _masked_pixel_driven(values, geom, side=None):
     return out
 
 
+def _masked_system_matrix(geom):
+    """CSR matrix of `forward` assembled with explicit range masks (reference)."""
+    import scipy.sparse as sp
+
+    side = geom.image_side
+    rows, cols, data = [], [], []
+    lines = np.arange(side)
+    for vi, theta in enumerate(geom.angles):
+        drive_rows, j0, frac, weight = _crossings(theta, geom)
+        ray_ids = (vi * geom.n_bins + np.arange(geom.n_bins))[:, None]
+        base = lines[None, :] * side if drive_rows else lines[None, :]
+        stride = 1 if drive_rows else side
+        for jj, ww in ((j0, weight * (1.0 - frac)), (j0 + 1, weight * frac)):
+            m = (jj >= 0) & (jj <= side - 1)
+            rows.append(np.broadcast_to(ray_ids, jj.shape)[m])
+            cols.append((base + np.clip(jj, 0, side - 1) * stride)[m])
+            data.append(ww[m])
+    mat = sp.coo_matrix((np.concatenate(data),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(geom.n_views * geom.n_bins, side * side))
+    return mat.tocsr()
+
+
 def _assert_close_to_max(a, ref, rtol=1e-13):
     assert np.abs(a - ref).max() <= rtol * np.abs(ref).max()
 
@@ -208,17 +256,12 @@ class TestKernelsMatchMaskedReference:
         got = forward(Image(x, geom.pixel_spacing), geom).values
         assert np.array_equal(got, _masked_forward(x, geom))
 
-    def test_forward_live_lines_bit_identical(self, geom):
+    def test_forward_sparse_image_bit_identical(self, geom):
         side = geom.image_side
         x = np.zeros((side, side))
         x[side // 2 - 1: side // 2 + 2, 3:6] = Rng(12).normal((3, 3))
-        rows = np.flatnonzero(np.any(x != 0, axis=1))
-        cols = np.flatnonzero(np.any(x != 0, axis=0))
-
-        def live(theta):
-            return rows if abs(np.cos(theta)) >= abs(np.sin(theta)) else cols
         got = forward(Image(x, geom.pixel_spacing), geom).values
-        assert np.array_equal(got, _masked_forward(x, geom, live))
+        assert np.array_equal(got, _masked_forward(x, geom))
 
     @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
     def test_backproject_values(self, geom, ext):
@@ -243,6 +286,11 @@ class TestKernelsMatchMaskedReference:
         assert np.array_equal(backproject_pixel_driven(y, geom, side),
                               _masked_pixel_driven(y, geom, side))
 
+    def test_system_matrix_bit_identical(self, geom):
+        got, ref = system_matrix(geom), _masked_system_matrix(geom)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
 
 class TestSystemMatrix:
     def test_matvec_matches_forward(self):
@@ -262,8 +310,8 @@ class TestSystemMatrix:
     def test_normal_operator_paths_agree(self):
         geom = uniform_geometry(32, 12)
         x = Rng(5).normal((32, 32))
-        a = normal_operator(geom, materialize=True)(x)
-        b = normal_operator(geom, materialize=False)(x)
+        a = normal_operator(geom)(x)
+        b = adjoint(forward(Image(x, geom.pixel_spacing), geom)).values
         assert np.allclose(a, b, atol=1e-10 * np.abs(a).max())
 
 

@@ -190,3 +190,7 @@ class TestTvAdmm:
             SolverConfig(rho=0.0)
         with pytest.raises(ValueError):
             SolverConfig(tv_mode="huber")
+        with pytest.raises(ValueError):
+            SolverConfig(max_iters=0)
+        with pytest.raises(ValueError):
+            SolverConfig(cg_iters=0)
