@@ -21,7 +21,8 @@ from .projector import uniform_geometry, forward, adjoint, Image, certify_normal
 from .fbp import make_ramp, fbp_reconstruct, deconvolution_form, subsample_views
 from .sparse import SolverConfig, ista_reconstruct, tv_admm_reconstruct, SolverError
 from .net import TrainConfig, init_params, forward_net, train
-from .pipeline import ExperimentManifest, run_experiment, snr, generate_dataset
+from .pipeline import (ExperimentManifest, run_experiment, snr, generate_dataset,
+                       train_cnn)
 
 __all__ = ["main"]
 
@@ -109,31 +110,26 @@ def cmd_tv(args):
 
 def cmd_train(args):
     manifest = ExperimentManifest(seed=args.seed, image_side=args.side,
-                                  n_views=args.n_views, n_train=args.count,
-                                  n_test=0)
-    geom, data = generate_dataset(manifest)
-    input_filter = make_ramp(geom.n_bins, geom.det_spacing, "hann")
-    pairs = []
-    for _, _, sino, gt in data:
-        sub = subsample_views(sino, args.factor)
-        pairs.append((fbp_reconstruct(sub, input_filter).values.astype(np.float32),
-                      gt.values.astype(np.float32)))
-    params = init_params(args.depth, args.base_channels, Rng(args.seed).split(1))
-    schedule = TrainConfig(epochs=args.epochs)
-    params, history = train(params, pairs, schedule, Rng(args.seed).split(2))
+                                  n_views=args.n_views, factors=(args.factor,),
+                                  n_train=args.count, n_test=0, epochs=args.epochs,
+                                  depth=args.depth, base_channels=args.base_channels)
+    _, data = generate_dataset(manifest)
+    params, history = train_cnn(manifest, args.factor, data)
     formats.save_weights(params, args.out)
     if args.history:
         formats.write_csv(history, ["epoch", "train_loss", "val_snr_db"],
                           args.history)
-    print(f"trained {args.epochs} epochs on {len(pairs)} pairs; "
+    print(f"trained {args.epochs} epochs on {len(data)} pairs; "
           f"final train loss {history[-1][1]:.6g}; weights at {args.out}")
 
 
 def cmd_apply(args):
     params = formats.load_weights(args.weights)
     image = formats.load_image(args.image)
-    out_values = forward_net(params, image.values.astype(np.float32))
-    out = Image(values=np.asarray(out_values, dtype=np.float64),
+    # the network works in its training units; its output is mapped back
+    y = forward_net(params, (params.gain * image.values + params.offset)
+                    .astype(np.float32))
+    out = Image(values=(np.asarray(y, dtype=np.float64) - params.offset) / params.gain,
                 pixel_spacing=image.pixel_spacing)
     _save_recon(out, args.out, args.pgm)
     print(f"wrote network output to {args.out}")

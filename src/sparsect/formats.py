@@ -8,9 +8,10 @@ Sinogram (.sino):  magic "SPCTSINO", u32 version=1, u32 n_views, u32 n_bins,
     f64 values[n_views*n_bins] row-major.
 Image (.img):      magic "SPCTIMG1", u32 side, f64 pixel_spacing,
     f64 values[side*side] row-major.
-Weights (.net):    magic "SPCTNET1", u32 depth, u32 base_channels,
-    u32 n_arrays, then per array: u16 name length, name utf-8, u8 ndim,
-    u32 dims[ndim], f32 data.
+Weights (.net):    magic "SPCTNET2", u32 depth, u32 base_channels,
+    u32 n_arrays, f64 gain, f64 offset (the network sees gain * image + offset),
+    then per array: u16 name length, name utf-8, u8 ndim, u32 dims[ndim], f32
+    data.  Version 1 ("SPCTNET1") has no gain and offset: read as 1 and 0.
 """
 
 import math
@@ -25,7 +26,8 @@ from .projector import Geometry, Image, Sinogram
 
 SINO_MAGIC = b"SPCTSINO"
 IMG_MAGIC = b"SPCTIMG1"
-NET_MAGIC = b"SPCTNET1"
+NET_MAGIC = b"SPCTNET2"
+NET_MAGIC_V1 = b"SPCTNET1"
 
 
 def save_sinogram(sino: Sinogram, path):
@@ -121,6 +123,7 @@ def save_weights(params: NetworkParams, path):
         fh.write(NET_MAGIC)
         fh.write(struct.pack("<III", params.depth, params.base_channels,
                              len(params.weights)))
+        fh.write(struct.pack("<dd", params.gain, params.offset))
         for name in sorted(params.weights):
             arr = np.ascontiguousarray(params.weights[name], "<f4")
             nb = name.encode()
@@ -133,11 +136,19 @@ def save_weights(params: NetworkParams, path):
 
 def load_weights(path) -> NetworkParams:
     """Weights of the network that `layer_specs(depth, base_channels)`
-    describes: exactly its arrays, in its shapes, with finite values."""
+    describes: exactly its arrays, in its shapes, with finite values, and
+    its input map (version 1 files: gain 1, offset 0)."""
     with open(path, "rb") as fh:
-        if fh.read(8) != NET_MAGIC:
+        magic = fh.read(8)
+        if magic not in (NET_MAGIC, NET_MAGIC_V1):
             raise ValueError(f"{path}: not a weights file")
         depth, base_channels, n_arrays = _unpack(fh, "<III", path, "header")
+        gain, offset = 1.0, 0.0
+        if magic == NET_MAGIC:
+            gain, offset = _unpack(fh, "<dd", path, "input map")
+        if not (math.isfinite(gain) and gain != 0 and math.isfinite(offset)):
+            raise ValueError(f"{path}: input map needs a finite non-zero gain and "
+                             f"a finite offset, got {gain!r}, {offset!r}")
         weights = {}
         for i in range(n_arrays):
             nlen, = _unpack(fh, "<H", path, f"array {i} name length")
@@ -165,7 +176,7 @@ def load_weights(path) -> NetworkParams:
                              f"expected {shapes[name]}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: {name} has non-finite values")
-    return NetworkParams(depth, base_channels, weights)
+    return NetworkParams(depth, base_channels, weights, gain, offset)
 
 
 def write_manifest(entries: dict, path):

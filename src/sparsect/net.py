@@ -24,10 +24,14 @@ class NetworkParams:
     depth: int
     base_channels: int
     weights: dict = field(default_factory=dict)  # name -> ndarray
+    # the network sees gain * image + offset: the map of its training data
+    gain: float = 1.0
+    offset: float = 0.0
 
     def copy(self):
         return NetworkParams(self.depth, self.base_channels,
-                             {k: v.copy() for k, v in self.weights.items()})
+                             {k: v.copy() for k, v in self.weights.items()},
+                             self.gain, self.offset)
 
 
 @dataclass

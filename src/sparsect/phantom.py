@@ -6,7 +6,7 @@ angle theta and offset s, where r^2 = A^2 cos^2(theta) + B^2 sin^2(theta).
 Rotation and shift of the ellipse are absorbed by transforming (theta, s).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,8 @@ class Ellipse:
     rho: float        # additive density
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError(f"ellipse fields must be finite: {astuple(self)}")
         if self.a <= 0 or self.b <= 0:
             raise ValueError("ellipse semi-axes must be positive")
 
@@ -39,6 +41,9 @@ class Phantom:
     def __post_init__(self):
         if not self.ellipses:
             raise ValueError("phantom needs at least one ellipse")
+        if not (np.isfinite(self.fov_radius) and self.fov_radius > 0):
+            raise ValueError(f"fov_radius must be finite and positive, "
+                             f"got {self.fov_radius!r}")
 
 
 def random_phantom(rng: Rng, count_range=(3, 8), fov_radius=1.0) -> Phantom:
@@ -129,17 +134,20 @@ def save_phantom(phantom: Phantom, path):
 def load_phantom(path) -> Phantom:
     ellipses = []
     fov_radius = 1.0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "fov_radius=" in line:
-                    fov_radius = float(line.split("fov_radius=")[1])
-                continue
-            vals = [float(v) for v in line.split()]
-            if len(vals) != 6:
-                raise ValueError(f"bad phantom record: {line!r}")
-            ellipses.append(Ellipse(*vals))
-    return Phantom(ellipses, fov_radius)
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    if "fov_radius=" in line:
+                        fov_radius = float(line.split("fov_radius=")[1])
+                    continue
+                vals = [float(v) for v in line.split()]
+                if len(vals) != 6:
+                    raise ValueError(f"bad phantom record: {line!r}")
+                ellipses.append(Ellipse(*vals))
+        return Phantom(ellipses, fov_radius)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

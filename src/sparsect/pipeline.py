@@ -22,7 +22,7 @@ from .net import TrainConfig, init_params, forward_net, train
 from . import formats
 
 __all__ = ["ExperimentManifest", "ResultTable", "snr", "golden_section",
-           "run_experiment", "SNR_CAP_DB"]
+           "train_cnn", "run_experiment", "SNR_CAP_DB"]
 
 
 def golden_section(fn, lo, hi, iters=10):
@@ -70,6 +70,21 @@ class ExperimentManifest:
     tv_lambda_hi: float = 3e-2
     golden_iters: int = 8
 
+    def __post_init__(self):
+        """Reject runs that could only fail late, after the dataset is built."""
+        if self.n_train < 1 or self.epochs < 1:
+            raise ValueError(f"n_train ({self.n_train}) and epochs ({self.epochs}) "
+                             f"must be at least 1")
+        bad = [f for f in self.factors if not 1 <= f <= self.n_views]
+        if bad:
+            raise ValueError(f"factors {bad} outside [1, n_views = {self.n_views}]")
+        if self.depth < 0 or self.image_side % (1 << self.depth):
+            raise ValueError(f"depth ({self.depth}) must be at least 0 and 2**depth "
+                             f"must divide image_side ({self.image_side})")
+        if not self.scale_hi > self.scale_lo:
+            raise ValueError(f"scale_hi ({self.scale_hi}) must exceed "
+                             f"scale_lo ({self.scale_lo})")
+
     def to_entries(self):
         d = asdict(self)
         d["factors"] = ",".join(str(f) for f in self.factors)
@@ -97,7 +112,10 @@ class ExperimentManifest:
 
     @classmethod
     def load(cls, path):
-        return cls.from_entries(formats.read_manifest(path))
+        try:
+            return cls.from_entries(formats.read_manifest(path))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def save(self, path):
         formats.write_manifest(self.to_entries(), path)
@@ -126,14 +144,6 @@ class ResultTable:
         t_rows = [(f, m, self.timings[(f, m)]) for (f, m) in sorted(self.timings)]
         formats.write_csv(t_rows, ["factor", "method", "seconds_per_image"],
                           os.path.join(out_dir, "timings.csv"))
-
-
-def _scale_params(images, lo, hi):
-    vmin = min(float(im.min()) for im in images)
-    vmax = max(float(im.max()) for im in images)
-    span = vmax - vmin if vmax > vmin else 1.0
-    gain = (hi - lo) / span
-    return gain, lo - gain * vmin
 
 
 def generate_dataset(manifest: ExperimentManifest, indices=None):
@@ -179,6 +189,31 @@ def tune_tv_lambda(manifest, subs_train, gts_train, table: ResultTable = None):
     return float(np.exp(best_log))
 
 
+def train_cnn(manifest: ExperimentManifest, factor, train_data):
+    """The residual CNN for one view-subsampling factor, trained on (sparse-view
+    FBP, full-view FBP) pairs of `generate_dataset` rows, both passed through
+    the affine map that sends the targets onto [scale_lo, scale_hi].  The params
+    keep that map: the network sees gain * image + offset.  Returns (params,
+    history)."""
+    geom = train_data[0][2].geometry
+    input_filter = make_ramp(geom.n_bins, geom.det_spacing, manifest.input_apodization)
+    fbps = [fbp_reconstruct(subsample_views(sino, factor), input_filter).values
+            for _, _, sino, _ in train_data]
+    gts = [gt.values for *_, gt in train_data]
+    vmin = min(float(g.min()) for g in gts)
+    vmax = max(float(g.max()) for g in gts)
+    span = vmax - vmin if vmax > vmin else 1.0
+    gain = (manifest.scale_hi - manifest.scale_lo) / span
+    offset = manifest.scale_lo - gain * vmin
+    pairs = [((gain * f + offset).astype(np.float32),
+              (gain * g + offset).astype(np.float32)) for f, g in zip(fbps, gts)]
+    params = init_params(manifest.depth, manifest.base_channels,
+                         Rng(manifest.seed).split(10_000 + factor))
+    params.gain, params.offset = gain, offset
+    return train(params, pairs, TrainConfig(epochs=manifest.epochs),
+                 Rng(manifest.seed).split(20_000 + factor))
+
+
 def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
     os.makedirs(out_dir, exist_ok=True)
     manifest.save(os.path.join(out_dir, "manifest.txt"))
@@ -203,9 +238,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
             # trivial self-comparison row: ground truth scored against itself
             table.add(1, "fbp", [snr(gt, gt) for *_, gt in test_data], 0.0)
             continue
-        subs_train = [subsample_views(s, factor) for _, _, s, _ in train_data]
         subs_test = [subsample_views(s, factor) for _, _, s, _ in test_data]
-        gts_train = [gt for *_, gt in train_data]
         gts_test = [gt for *_, gt in test_data]
 
         # sparse-view FBP (also the CNN input)
@@ -218,8 +251,10 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
         # TV-ADMM, lambda tuned on training instances only
         lam = manifest.tv_lambda
         if lam <= 0:
-            k = min(manifest.tv_tune_count, len(subs_train))
-            lam = tune_tv_lambda(manifest, subs_train[:k], gts_train[:k], table)
+            tune = train_data[:manifest.tv_tune_count]
+            lam = tune_tv_lambda(manifest,
+                                 [subsample_views(s, factor) for _, _, s, _ in tune],
+                                 [gt for *_, gt in tune], table)
         t0 = time.perf_counter()
         tvs = [tv_admm_reconstruct(s, _tv_config(manifest, lam)) for s in subs_test]
         tv_sec = (time.perf_counter() - t0) / max(len(subs_test), 1)
@@ -227,23 +262,13 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
                   tv_sec)
 
         # residual CNN on (sparse FBP, full-view FBP) pairs
-        fbps_train = [fbp_reconstruct(s, input_filter) for s in subs_train]
-        gain, offset = _scale_params([gt.values for gt in gts_train],
-                                     manifest.scale_lo, manifest.scale_hi)
-        pairs = [((gain * f.values + offset).astype(np.float32),
-                  (gain * gt.values + offset).astype(np.float32))
-                 for f, gt in zip(fbps_train, gts_train)]
-        params = init_params(manifest.depth, manifest.base_channels,
-                             Rng(manifest.seed).split(10_000 + factor))
-        schedule = TrainConfig(epochs=manifest.epochs)
-        params, history = train(params, pairs, schedule,
-                                Rng(manifest.seed).split(20_000 + factor))
+        params, history = train_cnn(manifest, factor, train_data)
         formats.write_csv([(e, l, s) for e, l, s in history],
                           ["epoch", "train_loss", "val_snr_db"],
                           os.path.join(out_dir, f"history_x{factor}.csv"))
         formats.save_weights(params, os.path.join(out_dir, f"net_x{factor}.net"))
         t0 = time.perf_counter()
-        cnn_values = [forward_net(params, (gain * f.values + offset)
+        cnn_values = [forward_net(params, (params.gain * f.values + params.offset)
                                   .astype(np.float32))
                       for f in fbps_test]
         cnn_sec = (time.perf_counter() - t0) / max(len(subs_test), 1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sparsect.autodiff as ad
 from sparsect.numerics import Rng
@@ -287,15 +288,30 @@ class TestTraining:
 
 
 class TestWeightsIo:
-    def test_roundtrip(self, tmp_path):
-        params = init_params(2, 4, Rng(15))
+    # each example overwrites the same files, so a per-test tmp_path is enough
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(depth=st.integers(min_value=0, max_value=2),
+           channels=st.integers(min_value=1, max_value=4),
+           gain=st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+           offset=st.floats(allow_nan=False, allow_infinity=False),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_roundtrip(self, tmp_path, depth, channels, gain, offset, seed):
+        params = init_params(depth, channels, Rng(seed), zero_final=False)
+        params.gain, params.offset = gain, offset
         path = tmp_path / "w.net"
         formats.save_weights(params, path)
-        back = formats.load_weights(path)
-        assert back.depth == 2 and back.base_channels == 4
-        assert set(back.weights) == set(params.weights)
-        for k in params.weights:
-            assert np.array_equal(back.weights[k], params.weights[k])
+        # version 1: the same file without the input map
+        raw = path.read_bytes()
+        v1 = tmp_path / "w1.net"
+        v1.write_bytes(formats.NET_MAGIC_V1 + raw[8:20] + raw[36:])
+        for back, map_ in ((formats.load_weights(path), (gain, offset)),
+                           (formats.load_weights(v1), (1.0, 0.0))):
+            assert back.depth == depth and back.base_channels == channels
+            assert (back.gain, back.offset) == map_
+            assert set(back.weights) == set(params.weights)
+            for k in params.weights:
+                assert np.array_equal(back.weights[k], params.weights[k])
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.net"

@@ -32,6 +32,14 @@ class TestRandomPhantom:
             Ellipse(0, 0, -1, 1, 0, 1)
         with pytest.raises(ValueError):
             Phantom([])
+        for field in range(6):
+            values = [0.0, 0.0, 0.3, 0.2, 0.0, 1.0]
+            values[field] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                Ellipse(*values)
+        for fov_radius in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="fov_radius"):
+                Phantom([Ellipse(0, 0, 0.3, 0.2, 0, 1)], fov_radius)
 
 
 class TestRasterize:

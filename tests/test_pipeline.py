@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sparsect import formats
 from sparsect.numerics import Rng
@@ -74,6 +75,14 @@ class TestManifest:
         path.write_text("# comment\n\nseed = 4\n")
         assert ExperimentManifest.load(path).seed == 4
 
+    @pytest.mark.parametrize("fields", [
+        dict(n_train=0), dict(epochs=0), dict(factors=(0, 7)),
+        dict(n_views=30, factors=(7, 31)), dict(image_side=36, depth=3), dict(depth=-1),
+        dict(scale_lo=5.0, scale_hi=5.0), dict(scale_hi=float("nan"))])
+    def test_rejects_runs_that_would_fail_late(self, fields):
+        with pytest.raises(ValueError):
+            ExperimentManifest(**fields)
+
 
 def _nan_angle_sino(tmp_path):
     """A .sino file whose view angles are all NaN."""
@@ -88,21 +97,41 @@ def _nan_angle_sino(tmp_path):
     return path
 
 
+# each example overwrites the same file, so a per-test tmp_path is enough
+roundtrip_settings = settings(max_examples=30, deadline=None, derandomize=True,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestFormats:
-    def test_sinogram_roundtrip(self, tmp_path):
-        geom = uniform_geometry(32, 11)
-        sino = Sinogram(geometry=geom,
-                        values=Rng(3).normal((geom.n_views, geom.n_bins)))
+    @roundtrip_settings
+    @given(side=st.integers(min_value=1, max_value=40),
+           fov_radius=st.floats(min_value=1e-3, max_value=1e3),
+           bins_per_pixel=st.floats(min_value=0.5, max_value=4.0),
+           angles=st.lists(st.floats(min_value=0.0, max_value=np.pi, exclude_max=True),
+                           min_size=1, max_size=12, unique=True),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sinogram_roundtrip(self, tmp_path, side, fov_radius, bins_per_pixel,
+                                angles, seed):
+        geom = uniform_geometry(side, 1, fov_radius, bins_per_pixel)
+        geom = geom.with_angles(sorted(angles))
+        sino = Sinogram(geometry=geom, values=np.random.default_rng(seed).normal(
+            size=(geom.n_views, geom.n_bins)))
         path = tmp_path / "s.sino"
         formats.save_sinogram(sino, path)
         back = formats.load_sinogram(path)
         assert np.array_equal(back.values, sino.values)
         assert np.array_equal(back.geometry.angles, geom.angles)
+        assert back.geometry.n_bins == geom.n_bins
         assert back.geometry.det_spacing == geom.det_spacing
         assert back.geometry.image_side == geom.image_side
+        assert back.geometry.pixel_spacing == geom.pixel_spacing
 
-    def test_image_roundtrip(self, tmp_path):
-        img = Image(Rng(4).normal((16, 16)), 0.125)
+    @roundtrip_settings
+    @given(side=st.integers(min_value=1, max_value=40),
+           pixel_spacing=st.floats(min_value=1e-6, max_value=1e6),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_image_roundtrip(self, tmp_path, side, pixel_spacing, seed):
+        img = Image(np.random.default_rng(seed).normal(size=(side, side)), pixel_spacing)
         path = tmp_path / "i.img"
         formats.save_image(img, path)
         back = formats.load_image(path)
@@ -276,7 +305,8 @@ class TestCli:
             argv = ["fbp", "--sino", str(path), "--out", str(tmp_path / "x.img")]
         _assert_cli_error(argv, path, capsys)
 
-    @pytest.mark.parametrize("fault", ["missing", "shape", "nan", "depth"])
+    @pytest.mark.parametrize("fault", ["missing", "shape", "nan", "depth", "gain0",
+                                       "nan_offset"])
     def test_apply_rejects_mismatched_weights(self, tmp_path, capsys, fault):
         params = init_params(1, 2, Rng(8))
         if fault == "missing":
@@ -285,6 +315,10 @@ class TestCli:
             params.weights["enc0_conv1.w"] = params.weights["enc0_conv1.w"][:, :, :2, :2]
         elif fault == "nan":
             params.weights["mid_conv1.w"][0, 0, 0, 0] = np.nan
+        elif fault == "gain0":
+            params.gain = 0.0
+        elif fault == "nan_offset":
+            params.offset = np.nan
         else:
             params.depth = 0xFFFFFFFF
         weights = tmp_path / "w.net"
@@ -293,6 +327,37 @@ class TestCli:
         formats.save_image(Image(Rng(9).normal((8, 8)), 0.25), image)
         _assert_cli_error(["apply", "--weights", str(weights), "--image", str(image),
                            "--out", str(tmp_path / "y.img")], weights, capsys)
+
+    def test_run_rejects_manifest_before_any_work(self, tmp_path, capsys):
+        mpath = tmp_path / "m.txt"
+        mpath.write_text("image_side = 36\ndepth = 3\n")
+        out = tmp_path / "out"
+        _assert_cli_error(["run", "--manifest", str(mpath), "--out-dir", str(out)],
+                          mpath, capsys)
+        assert not (out / "results.csv").exists()
+
+    def test_train_rejects_zero_count(self, tmp_path, capsys):
+        rc = main(["train", "--count", "0", "--out", str(tmp_path / "w.net")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, discrete", [
+        ("0 0 nan 0.2 0 1", True),
+        ("0 0 nan 0.2 0 1", False),
+        ("0 0 0.3 0.2 zero 1", False),
+        (None, False),
+    ], ids=["nan_discrete", "nan_analytic", "unparsable", "comments_only"])
+    def test_project_rejects_bad_phantom(self, tmp_path, capsys, record, discrete):
+        lines = ["# sparsect phantom v1 fov_radius=1.0"]
+        if record is not None:
+            lines += ["0.1 0 0.3 0.2 0 1", record]
+        path = tmp_path / "p.txt"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.sino"
+        argv = ["project", "--phantom", str(path), "--side", "16", "--n-views", "4",
+                "--out", str(out)] + ["--discrete"] * discrete
+        _assert_cli_error(argv, path, capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--iters", "--cg-iters"])
     def test_zero_iterations_exit_code(self, tmp_path, capsys, flag):
@@ -365,3 +430,28 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--manifest", str(mpath), "--out-dir", str(out)]) == 0
         assert (out / "results.csv").exists()
+
+    def test_train_and_apply_match_run(self, tmp_path, capsys):
+        # `train` with TINY's settings writes the run's factor-5 network, and
+        # gen-data -> Hann FBP -> apply -> eval reproduces its first CNN score
+        run_dir = tmp_path / "run"
+        run_experiment(ExperimentManifest(**TINY), run_dir)
+        net = tmp_path / "t.net"
+        assert main(["train", "--seed", "3", "--side", "32", "--n-views", "30",
+                     "--count", "6", "--factor", "5", "--epochs", "2", "--depth", "1",
+                     "--base-channels", "4", "--out", str(net)]) == 0
+        assert net.read_bytes() == (run_dir / "net_x5.net").read_bytes()
+        d = str(tmp_path)
+        assert main(["gen-data", "--seed", "3", "--side", "32", "--n-views", "30",
+                     "--count", "7", "--out-dir", d]) == 0
+        sino = os.path.join(d, "sino_0006.sino")   # test index 0 of TINY
+        full, sub, cnn = (os.path.join(d, n) for n in ("full.img", "sub.img", "cnn.img"))
+        assert main(["fbp", "--sino", sino, "--out", full]) == 0
+        assert main(["fbp", "--sino", sino, "--out", sub, "--subsample", "5",
+                     "--apodization", "hann"]) == 0
+        assert main(["apply", "--weights", str(net), "--image", sub, "--out", cnn]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--reference", full, "--candidate", cnn]) == 0
+        rows = (run_dir / "results.csv").read_text().splitlines()
+        expected = next(r for r in rows if r.startswith("5,cnn,0,")).split(",")[-1]
+        assert capsys.readouterr().out.strip() == f"snr_db = {expected}"
