@@ -152,7 +152,10 @@ def load_weights(path) -> NetworkParams:
         weights = {}
         for i in range(n_arrays):
             nlen, = _unpack(fh, "<H", path, f"array {i} name length")
-            name = _read(fh, nlen, path, f"array {i} name").decode()
+            try:
+                name = _read(fh, nlen, path, f"array {i} name").decode()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: array {i} name is not UTF-8") from None
             ndim, = _unpack(fh, "<B", path, f"{name} ndim")
             dims = _unpack(fh, f"<{ndim}I", path, f"{name} dims")
             count = math.prod(dims)

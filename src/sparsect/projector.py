@@ -53,6 +53,16 @@ class Geometry:
         if self.n_bins * self.det_spacing < diag:
             raise ValueError("detector does not cover the field-of-view diagonal")
 
+    def _key(self):
+        return (self.angles.tobytes(), self.n_bins, self.det_spacing,
+                self.image_side, self.pixel_spacing)
+
+    def __eq__(self, other):
+        return isinstance(other, Geometry) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def n_views(self):
         return len(self.angles)
@@ -320,6 +330,8 @@ def certify_normal_convolution(geometry: Geometry, probe_locations=None,
     operator should give a slope near -1).
     """
     side = geometry.image_side
+    if side & (side - 1) != 0:
+        raise ValueError("spectral certification requires a power-of-two image side")
     center = (side // 2, side // 2)
     if probe_locations is None:
         q = side // 8
@@ -344,8 +356,6 @@ def certify_normal_convolution(geometry: Geometry, probe_locations=None,
     ref_norm = np.linalg.norm(ref)
     score = max(np.linalg.norm(r - ref) / ref_norm for r in responses)
 
-    if side & (side - 1) != 0:
-        raise ValueError("spectral certification requires a power-of-two image side")
     # impulse-response center moved to index (0,0) so the spectrum is ~real
     spec = fft_2d(np.fft.ifftshift(ref))
     radii, amps = _radial_average(spec)

@@ -2,14 +2,18 @@
 
 Two solvers over the shared projector pair:
 
-* `ista_reconstruct` minimizes ||y - H W a||^2 + lambda*||a||_1 where W is an
-  orthonormal multilevel Haar synthesis, via ISTA (or FISTA with the same
-  fixed points).
+* `ista_reconstruct` minimizes 0.5*||y - H W a||^2 + lambda*||a||_1 where W is
+  an orthonormal multilevel Haar synthesis, via ISTA or FISTA.  It needs H
+  only through H*H, and its step bound L is estimated on H*H, whose norm is
+  that of W*H*HW.
 * `tv_admm_reconstruct` minimizes 0.5*||H x - y||^2 + lambda*TV(x) via ADMM
   with the splitting z = Dx; the x-update runs preconditioned CG on
   (H*H + rho D*D), with a Fourier-domain preconditioner built from the
   measured impulse response of H*H (valid because the normal operator is
   numerically a convolution).
+
+An objective costs one extra `forward` per iteration, so it is computed only
+where it is read: by ISTA's divergence guard and for `history` lists.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from .numerics import Rng
 from .projector import (Geometry, Image, Sinogram, forward, adjoint,
                         normal_operator)
 
-__all__ = ["SolverConfig", "CoeffStack", "SolverError", "soft_threshold",
+__all__ = ["SolverConfig", "SolverError", "soft_threshold",
            "wavelet_analysis", "wavelet_synthesis", "estimate_lipschitz",
            "ista_reconstruct", "tv_admm_reconstruct", "grad_pairs", "grad_pairs_adjoint"]
 
@@ -59,14 +63,6 @@ def soft_threshold(v, theta):
     return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
 
 
-@dataclass
-class CoeffStack:
-    """Packed multilevel Haar coefficients, quadrant layout:
-    level-k approx occupies the top-left (side/2^k)^2 block."""
-    data: np.ndarray
-    levels: int
-
-
 _H = 1.0 / 2.0  # 2x2 orthonormal Haar butterfly scale
 
 
@@ -89,8 +85,10 @@ def _haar_step_inv(ll, hl, lh, hh):
     return out
 
 
-def wavelet_analysis(values: np.ndarray, levels: int) -> CoeffStack:
-    """Orthonormal multilevel 2-D Haar transform (exact inverse pair)."""
+def wavelet_analysis(values: np.ndarray, levels: int) -> np.ndarray:
+    """Orthonormal multilevel 2-D Haar transform (exact inverse pair), packed
+    in quadrant layout: the level-k approximation occupies the top-left
+    (side/2^k)^2 block."""
     values = np.asarray(values, dtype=np.float64)
     side = values.shape[0]
     if side % (1 << levels) != 0:
@@ -105,14 +103,14 @@ def wavelet_analysis(values: np.ndarray, levels: int) -> CoeffStack:
         out[h:n, :h] = lh
         out[h:n, h:n] = hh
         n = h
-    return CoeffStack(data=out, levels=levels)
+    return out
 
 
-def wavelet_synthesis(coeffs: CoeffStack) -> np.ndarray:
-    out = coeffs.data.copy()
-    side = out.shape[0]
-    n = side >> coeffs.levels
-    for _ in range(coeffs.levels):
+def wavelet_synthesis(coeffs: np.ndarray, levels: int) -> np.ndarray:
+    """Inverse of `wavelet_analysis` for the same `levels`."""
+    out = np.array(coeffs, dtype=np.float64)
+    n = out.shape[0] >> levels
+    for _ in range(levels):
         m = n * 2
         out[:m, :m] = _haar_step_inv(out[:n, :n], out[:n, n:m],
                                      out[n:m, :n], out[n:m, n:m])
@@ -121,8 +119,9 @@ def wavelet_synthesis(coeffs: CoeffStack) -> np.ndarray:
 
 
 def estimate_lipschitz(geometry: Geometry, iters=50, rng: Rng = None,
-                       levels=3, op=None) -> float:
-    """Power iteration on W*H*HW, times a 1.05 safety factor.
+                       op=None) -> float:
+    """Power iteration on H*H, times a 1.05 safety factor.  W is orthonormal,
+    so ||W*H*HW|| = ||H*H|| and the result also bounds ISTA's step operator.
 
     `op` is the normal operator H*H (callable on value arrays), built from
     `geometry` when omitted; a solver passes the one it already holds, and
@@ -133,88 +132,77 @@ def estimate_lipschitz(geometry: Geometry, iters=50, rng: Rng = None,
     rng = rng or Rng(0)
     if op is None:
         op = normal_operator(geometry)
-    side = geometry.image_side
-    a = rng.normal((side, side))
-    a /= np.linalg.norm(a)
+    x = rng.normal((geometry.image_side,) * 2)
+    x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(iters):
-        x = wavelet_synthesis(CoeffStack(a, levels))
-        b = wavelet_analysis(op(x), levels).data
-        lam = float(np.sum(a * b))
+        b = op(x)
+        lam = float(np.sum(x * b))
         nb = np.linalg.norm(b)
         if nb == 0:
             return 1.05e-30
-        a = b / nb
+        x = b / nb
     return 1.05 * lam
+
+
+def _data_fit(sinogram: Sinogram, x):
+    """0.5*||Hx - y||^2, the data term of both solvers' objectives."""
+    geom = sinogram.geometry
+    r = forward(Image(x, geom.pixel_spacing), geom).values - sinogram.values
+    return 0.5 * np.sum(r * r)
 
 
 def synthesis_objective(sinogram: Sinogram, a, lam, levels):
     """0.5*||y - HWa||^2 + lam*||a||_1, the cost the ISTA iterate descends."""
-    geom = sinogram.geometry
-    x = wavelet_synthesis(CoeffStack(a, levels))
-    r = forward(Image(x, geom.pixel_spacing), geom).values - sinogram.values
-    return float(0.5 * np.sum(r * r) + lam * np.abs(a).sum())
+    return float(_data_fit(sinogram, wavelet_synthesis(a, levels))
+                 + lam * np.abs(a).sum())
 
 
 def ista_reconstruct(sinogram: Sinogram, config: SolverConfig,
                      history=None) -> Image:
     """ISTA/FISTA on the synthesis l1 problem; returns the image W a.
 
-    Iterate: a <- S_{lam/L}((1/L) W*H*y + (I - (1/L) W*H*HW) a), the proximal
-    gradient step for 0.5*||y-HWa||^2 + lam*||a||_1 with step 1/L.  That
-    objective must be non-increasing for ISTA; three consecutive relative
-    increases above 1e-6 are treated as a mis-configured step size and raise
-    SolverError.  Pass a list as `history` to collect (iteration, objective)
-    pairs.
+    Iterate: a <- S_{lam/L}(z - (1/L) W*(H*HWz - H*y)) at the extrapolated
+    z = a + (t - 1)/t_next * (a - a_prev), with FISTA's t of Beck & Teboulle
+    2009, or t = 1 (no momentum) for ISTA.  ISTA's objective must not rise;
+    three consecutive relative increases above 1e-6 are treated as a
+    mis-configured step size and raise SolverError.  Pass a list as
+    `history` to collect (iteration, objective) pairs.
     """
     geom = sinogram.geometry
     nop = normal_operator(geom)
     L = config.step_inverse
     if L is None:
-        L = estimate_lipschitz(geom, rng=Rng(0), levels=config.levels, op=nop)
+        L = estimate_lipschitz(geom, rng=Rng(0), op=nop)
     if L <= 0:
         raise SolverError("step_inverse must be positive")
     levels = config.levels
-    wty = wavelet_analysis(adjoint(sinogram).values, levels).data
+    wty = wavelet_analysis(adjoint(sinogram).values, levels)
 
-    a = np.zeros_like(wty)
-    a_prev = a
+    a = a_prev = np.zeros_like(wty)
     t = 1.0
     prev_obj = np.inf
     bad = 0
     for k in range(config.max_iters):
-        if config.fista:
-            t_next = _fista_t_next(t)
-            z = a + (t - 1.0) / t_next * (a - a_prev)
-        else:
-            t_next = t
-            z = a
-        grad = wavelet_analysis(nop(wavelet_synthesis(CoeffStack(z, levels))),
-                                levels).data - wty
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)) if config.fista else t
+        z = a + (t - 1.0) / t_next * (a - a_prev)
+        grad = wavelet_analysis(nop(wavelet_synthesis(z, levels)), levels) - wty
         a_next = soft_threshold(z - grad / L, config.lam / L)
-        obj = synthesis_objective(sinogram, a_next, config.lam, levels)
-        if history is not None:
-            history.append((k, obj))
-        if not config.fista:
-            if obj > prev_obj * (1.0 + 1e-6):
-                bad += 1
-                if bad >= 3:
-                    raise SolverError(
-                        f"ISTA objective diverging at iteration {k}: {obj} > {prev_obj}")
-            else:
-                bad = 0
+        if history is not None or not config.fista:
+            obj = synthesis_objective(sinogram, a_next, config.lam, levels)
+            if history is not None:
+                history.append((k, obj))
+            bad = bad + 1 if obj > prev_obj * (1.0 + 1e-6) else 0
+            if bad >= 3 and not config.fista:
+                raise SolverError(
+                    f"ISTA objective diverging at iteration {k}: {obj} > {prev_obj}")
+            prev_obj = min(prev_obj, obj)
         change = np.linalg.norm(a_next - a) / max(np.linalg.norm(a), 1e-30)
-        a_prev, a = a, a_next
-        t = t_next
-        prev_obj = min(prev_obj, obj)
+        a_prev, a, t = a, a_next, t_next
         if change < config.tol:
             break
-    return Image(values=wavelet_synthesis(CoeffStack(a, levels)),
+    return Image(values=wavelet_synthesis(a, levels),
                  pixel_spacing=geom.pixel_spacing)
-
-
-def _fista_t_next(t):
-    return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
 
 
 def grad_pairs(x):
@@ -298,7 +286,6 @@ def tv_admm_reconstruct(sinogram: Sinogram, config: SolverConfig,
     to collect (iteration, objective, primal_residual, dual_residual) rows.
     """
     geom = sinogram.geometry
-    y = sinogram.values
     hty = adjoint(sinogram).values
     nop = normal_operator(geom)
     rho = config.rho
@@ -332,12 +319,11 @@ def tv_admm_reconstruct(sinogram: Sinogram, config: SolverConfig,
         dual = rho * np.linalg.norm(
             grad_pairs_adjoint(zx - zx_old, zy - zy_old))
         if history is not None:
-            r = forward(Image(x, geom.pixel_spacing), geom).values - y
             if config.tv_mode == "isotropic":
                 tv = np.sqrt(gx ** 2 + gy ** 2).sum()
             else:
                 tv = np.abs(gx).sum() + np.abs(gy).sum()
-            history.append((k, float(0.5 * np.sum(r * r) + config.lam * tv),
+            history.append((k, float(_data_fit(sinogram, x) + config.lam * tv),
                             float(primal), float(dual)))
         scale = max(np.linalg.norm(x), 1e-30)
         if primal < config.tol * scale and dual < config.tol * scale:

@@ -328,6 +328,20 @@ class TestCli:
         _assert_cli_error(["apply", "--weights", str(weights), "--image", str(image),
                            "--out", str(tmp_path / "y.img")], weights, capsys)
 
+    def test_apply_rejects_non_utf8_array_name(self, tmp_path, capsys):
+        params = init_params(1, 2, Rng(8))
+        weights = tmp_path / "w.net"
+        formats.save_weights(params, weights)
+        data = bytearray(weights.read_bytes())
+        data[data.index(min(params.weights).encode())] = 0xFF  # first array's name
+        weights.write_bytes(bytes(data))
+        image = tmp_path / "x.img"
+        formats.save_image(Image(Rng(9).normal((8, 8)), 0.25), image)
+        assert main(["apply", "--weights", str(weights), "--image", str(image),
+                     "--out", str(tmp_path / "y.img")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and f"{weights}: array 0 name" in err, err
+
     def test_run_rejects_manifest_before_any_work(self, tmp_path, capsys):
         mpath = tmp_path / "m.txt"
         mpath.write_text("image_side = 36\ndepth = 3\n")

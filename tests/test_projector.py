@@ -57,6 +57,18 @@ class TestGeometry:
         assert (half.n_bins, half.det_spacing) == (geom.n_bins, geom.det_spacing)
         assert geom.with_side(64) is geom
 
+    def test_value_equality_and_hash(self):
+        a, b = uniform_geometry(32, 10), uniform_geometry(32, 10)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.with_angles(tuple(a.angles)) == a
+        for other in (uniform_geometry(32, 11), a.with_side(16),
+                      a.with_angles(a.angles[:-1]),
+                      Geometry(a.angles, a.n_bins + 2, a.det_spacing,
+                               a.image_side, a.pixel_spacing)):
+            assert a != other
+        assert a != "geometry"
+
 
 class TestForwardAdjoint:
     def test_dot_test(self):
@@ -361,3 +373,13 @@ class TestCertification:
         geom = uniform_geometry(48, 10)
         with pytest.raises(ValueError):
             certify_normal_convolution(geom)
+
+    def test_side_checked_before_operator_is_applied(self):
+        calls = []
+
+        def counting_op(v):
+            calls.append(1)
+            return v
+        with pytest.raises(ValueError):
+            certify_normal_convolution(uniform_geometry(48, 10), normal_op=counting_op)
+        assert calls == []

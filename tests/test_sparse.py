@@ -5,7 +5,8 @@ from sparsect.numerics import Rng
 from sparsect.projector import uniform_geometry, Image, Sinogram, forward, system_matrix
 from sparsect.phantom import random_phantom, analytic_sinogram
 from sparsect.fbp import fbp_reconstruct, subsample_views
-from sparsect.sparse import (SolverConfig, SolverError, CoeffStack, soft_threshold,
+from sparsect import sparse
+from sparsect.sparse import (SolverConfig, SolverError, soft_threshold,
                              wavelet_analysis, wavelet_synthesis, estimate_lipschitz,
                              synthesis_objective, ista_reconstruct,
                              tv_admm_reconstruct, grad_pairs, grad_pairs_adjoint)
@@ -31,17 +32,17 @@ class TestHaar:
     def test_roundtrip_exact(self):
         x = Rng(1).normal((64, 64))
         for levels in (1, 2, 3):
-            back = wavelet_synthesis(wavelet_analysis(x, levels))
+            back = wavelet_synthesis(wavelet_analysis(x, levels), levels)
             assert np.allclose(back, x, atol=1e-13)
 
     def test_orthonormal_parseval(self):
         x = Rng(2).normal((32, 32))
-        c = wavelet_analysis(x, 3).data
+        c = wavelet_analysis(x, 3)
         assert abs(np.linalg.norm(c) - np.linalg.norm(x)) < 1e-12
 
     def test_constant_image_concentrates_in_approx(self):
         x = np.full((16, 16), 2.0)
-        c = wavelet_analysis(x, 2).data
+        c = wavelet_analysis(x, 2)
         assert np.allclose(c[:4, :4], 8.0)   # 2 * 2^levels
         detail = c.copy()
         detail[:4, :4] = 0.0
@@ -72,7 +73,7 @@ class TestLipschitz:
         geom = uniform_geometry(32, 20)
         L = estimate_lipschitz(geom, rng=Rng(0))
         mat = system_matrix(geom)
-        # Rayleigh quotient of W*H*HW equals that of H*H (W orthonormal)
+        # power iteration on H*H; it also bounds W*H*HW (W orthonormal)
         dense = (mat.T @ mat).toarray()
         true_l = np.linalg.eigvalsh(dense).max()
         assert L >= true_l * 0.999          # 1.05 safety factor covers slack
@@ -134,10 +135,26 @@ class TestIsta:
         cfg = SolverConfig(lam=5e-3, max_iters=40, tol=0.0)
         hist = []
         img = ista_reconstruct(sino, cfg, history=hist)
-        a = wavelet_analysis(img.values, cfg.levels).data
+        a = wavelet_analysis(img.values, cfg.levels)
         assert synthesis_objective(sino, a, cfg.lam, cfg.levels) == \
             pytest.approx(hist[-1][1])
 
+    def test_fista_without_history_skips_objective(self, monkeypatch):
+        calls = []
+        original = sparse.synthesis_objective
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(sparse, "synthesis_objective", counted)
+        sino = _instance(seed=5)
+        cfg = SolverConfig(lam=2e-3, max_iters=30, tol=0.0, fista=True)
+        img = ista_reconstruct(sino, cfg)
+        assert len(calls) == 0
+        hist = []
+        img_hist = ista_reconstruct(sino, cfg, history=hist)
+        assert len(calls) == len(hist) == 30
+        assert np.array_equal(img.values, img_hist.values)
 
 class TestTvAdmm:
     def test_lambda_zero_matches_least_squares(self):
