@@ -176,6 +176,9 @@ def cmd_bench(args):
     t0 = time.perf_counter()
     fbp_reconstruct(sino, filt)
     t_fbp = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    deconvolution_form(sino)
+    t_deconv = time.perf_counter() - t0
     # one batch-1 SGD step of the pipeline's default network (depth 3, 16 channels)
     if args.side % 8:
         sgd = f"sgd_step skipped (side {args.side} not divisible by 8)"
@@ -188,7 +191,8 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         train(params, pair, schedule, rng)
         sgd = f"sgd_step {time.perf_counter() - t0:.4f}s"
-    print(f"forward {t_fwd:.4f}s  adjoint {t_adj:.4f}s  fbp {t_fbp:.4f}s  {sgd} "
+    print(f"forward {t_fwd:.4f}s  adjoint {t_adj:.4f}s  fbp {t_fbp:.4f}s  "
+          f"deconv {t_deconv:.4f}s  {sgd} "
           f"({args.side}^2, {args.n_views} views)")
 
 
@@ -288,7 +292,7 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("bench", help="time forward, adjoint, FBP and one SGD step")
+    p = sub.add_parser("bench", help="time forward, adjoint, both FBPs and one SGD step")
     _add_geom_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

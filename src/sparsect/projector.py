@@ -8,11 +8,16 @@ perpendicular to the unit vector u = (cos theta, sin theta); the detector
 coordinate of a point p is p . u, and bin centers are symmetric about the
 rotation axis.
 
-One tap builder, `_taps`, gives the Joseph crossings of a view as indices
-into image lines padded with two cells at each end; `forward` gathers
-through it, `backproject_values` scatters through it and `system_matrix`
-maps the same taps to pixel columns.  `normal_operator` uses the CSR matrix
-for side <= 128 and `forward`/`adjoint` above that.
+One tap builder, `_taps`, yields the Joseph crossings of each view block by
+block as indices into image lines padded with two cells at each end;
+`forward` gathers through it, `backproject_values` scatters through it and
+`system_matrix` maps the same taps to pixel columns.  Blocks of at most
+`_BLOCK_CELLS` cells skip what lands only on padding and keep every sum in
+order: `forward` sums whole zero-filled rows of a slab of bins, the adjoint
+takes slabs of lines (a cell's bins share one `bincount`), and
+`backproject_pixel_driven` loops over views in blocks of rows.  `H*H` at
+256²/360 takes about 1.0 s on one core (1.6 s unblocked).  `normal_operator`
+uses the CSR matrix for side <= 128 and `forward`/`adjoint` above that.
 """
 
 from dataclasses import dataclass, field
@@ -122,6 +127,12 @@ class Image:
         return self.values.shape[0]
 
 
+def _check_values(values, geom):
+    shape = (geom.n_views, geom.n_bins)
+    if np.shape(values) != shape:
+        raise ValueError(f"values must be (n_views, n_bins) = {shape}, not {np.shape(values)}")
+
+
 @dataclass
 class Sinogram:
     geometry: Geometry
@@ -129,48 +140,70 @@ class Sinogram:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.geometry.n_views, self.geometry.n_bins):
-            raise ValueError("sinogram dimensions do not match geometry")
+        _check_values(v, self.geometry)
         if not np.all(np.isfinite(v)):
             raise ValueError("sinogram values must be finite")
         self.values = v
 
 
-def _taps(theta, geom, side=None):
-    """Joseph interpolation taps of one view on a grid of extent `side`
-    (default: the geometry's own grid; same pixel spacing and center).
+_BLOCK_CELLS = 1 << 14  # cells per kernel block: 128 kB float64 temporaries stay in L2
 
-    Returns (drive_rows, idx, frac, weight).  Rays closer to vertical
-    (drive_rows) cross every image row, the others every column; the crossing
-    of bin b with driven line k falls between lateral cells idx[b, k] and
-    idx[b, k] + 1 with linear weights (1 - frac, frac), each scaled by
-    `weight`, the path length through one line.  `idx` indexes the lines laid
-    end to end, each padded with two cells at both ends (side + 4 per line),
-    and the crossing is clipped to [-2, side] first, so any tap off the grid
-    lands on a pad cell.
+
+def _band(a, t0, t1, b, cb, reach, n):
+    """[lo, hi) in [0, n) holding every w with |a*t + b*(w - cb)| <= reach
+    for some t in [t0, t1], widened by one unit of reach.  A |b| below 1e-9
+    (an axis-aligned view) counts as 1e-9, which moves a*t + b*w by < 1e-9*n."""
+    b = b if abs(b) > 1e-9 else 1e-9
+    mid = cb - a * (t0 + t1) / 2.0 / b
+    width = (reach + 1.0 + abs(a) * (t1 - t0) / 2.0) / abs(b)
+    return max(0, int(mid - width)), min(n, int(mid + width) + 1)
+
+
+def _taps(geom, side, by_lines):
+    """Yield (vi, drive_rows, weight, bins, lines, idx, frac): the Joseph taps
+    of each view of `geom` on a grid of extent `side` (same pixel spacing and
+    center) in slabs of whole lines (by_lines) or bins, each cut by `_band`
+    to the range of the other axis that can reach the grid.  Rays closer to
+    vertical (drive_rows) cross every image row, the others every column.
+    Bin b crosses line k g*(b - off) + h*(k - half) cells from the line's
+    middle, between lateral cells idx[b, k] and idx[b, k] + 1, with weights
+    (1 - frac, frac) times `weight`, the path length through a line.  `idx`
+    indexes the lines from lines[0] on, each padded with two cells at both
+    ends (side + 4 per line); crossings are clipped to [-2, side] first, so
+    a tap off the grid lands on a pad cell.
     """
-    side = geom.image_side if side is None else side
-    dx = geom.pixel_spacing
-    c, s = np.cos(theta), np.sin(theta)
-    drive_rows = bool(abs(c) >= abs(s))
-    if drive_rows:
-        slope_s, slope_c, weight = 1.0 / c, -s / c, dx / abs(c)
-    else:
-        slope_s, slope_c, weight = 1.0 / s, -c / s, dx / abs(s)
-    half = (side - 1) / 2.0
-    lines = np.arange(side)
-    pos = slope_s * geom.bin_centers()[:, None] + slope_c * ((lines - half) * dx)[None, :]
-    jf = pos / dx + half
-    j0 = np.floor(jf).astype(np.int64)
-    frac = jf - j0
-    idx = np.clip(j0, -2, side, out=j0)
-    idx += lines * (side + 4) + 2
-    return drive_rows, idx, frac, weight
+    n_bins, dx = geom.n_bins, geom.pixel_spacing
+    n, other = (side, n_bins) if by_lines else (n_bins, side)
+    step = max(1, _BLOCK_CELLS // other)
+    half, off = (side - 1) / 2.0, (n_bins - 1) / 2.0
+    centers = geom.bin_centers()
+    for vi, theta in enumerate(geom.angles):
+        c, s = np.cos(theta), np.sin(theta)
+        drive_rows = bool(abs(c) >= abs(s))
+        u, v = (c, s) if drive_rows else (s, c)
+        slope_s, slope_c = 1.0 / u, -v / u
+        g, h = float(slope_s) * geom.det_spacing / dx, float(slope_c)
+        a, ca, b, cb = (h, half, g, off) if by_lines else (g, off, h, half)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            lo, hi = _band(a, start - ca, stop - 1 - ca, b, cb, half + 1.0, other)
+            if lo >= hi:
+                continue
+            bins, lines = ((lo, hi), (start, stop)) if by_lines else ((start, stop), (lo, hi))
+            k = np.arange(*lines)
+            jf = slope_s * centers[bins[0]:bins[1], None] + slope_c * ((k - half) * dx)[None, :]
+            jf /= dx
+            jf += half
+            j0 = np.floor(jf)
+            frac = np.subtract(jf, j0, out=jf)
+            idx = np.clip(j0, -2, side, out=j0).astype(np.int64)
+            idx += (k - lines[0]) * (side + 4) + 2
+            yield vi, drive_rows, dx / abs(u), bins, lines, idx, frac
 
 
 def _padded_lines(grid, fill=0):
     """[columns, rows] of `grid` as flat lines padded with two `fill` cells at
-    each end, indexed by `_taps`'s (drive_rows, idx)."""
+    each end, indexed by `_taps` from line 0."""
     return [np.pad(g, ((0, 0), (2, 2)), constant_values=fill).ravel()
             for g in (grid.T, grid)]
 
@@ -182,14 +215,17 @@ def forward(image: Image, geometry: Geometry) -> Sinogram:
         raise ValueError("image side does not match geometry")
     if abs(image.pixel_spacing - geometry.pixel_spacing) > 1e-12 * geometry.pixel_spacing:
         raise ValueError("image pixel spacing does not match geometry")
+    side = geometry.image_side
     out = np.zeros((geometry.n_views, geometry.n_bins))
     flat = _padded_lines(image.values)
-    for vi, theta in enumerate(geometry.angles):
-        drive_rows, idx, frac, weight = _taps(theta, geometry)
-        v0, v1 = flat[drive_rows].take(idx), flat[drive_rows][1:].take(idx)
+    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geometry, side, by_lines=False):
+        cells = flat[drive_rows][lines[0] * (side + 4):]
+        v0, v1 = cells.take(idx), cells[1:].take(idx)
         v1 *= frac
         v0 *= np.subtract(1.0, frac, out=frac)
-        out[vi] = weight * np.add(v0, v1, out=v0).sum(axis=1)
+        terms = np.zeros((bins[1] - bins[0], side))
+        np.add(v0, v1, out=terms[:, lines[0]:lines[1]])
+        out[vi, bins[0]:bins[1]] = weight * terms.sum(axis=1)
     return Sinogram(geometry=geometry, values=out)
 
 
@@ -199,14 +235,14 @@ def backproject_values(values: np.ndarray, geom: Geometry, side=None) -> np.ndar
     Column- and row-driven views scatter into two padded line-major
     accumulators whose pad cells are dropped at the end."""
     side = geom.image_side if side is None else side
+    _check_values(values, geom)
     acc = np.zeros((2, side * (side + 4)))
-    for vi, theta in enumerate(geom.angles):
-        drive_rows, idx, frac, weight = _taps(theta, geom, side)
-        vals = values[vi][:, None] * weight
-        a = acc[int(drive_rows)]
-        a += np.bincount(idx.ravel(), (vals * (1.0 - frac)).ravel(), a.size)
+    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geom, side, by_lines=True):
+        v = values[vi, bins[0]:bins[1], None] * weight
+        cells = acc[int(drive_rows), lines[0] * (side + 4):lines[1] * (side + 4)]
+        cells += np.bincount(idx.ravel(), (v * (1.0 - frac)).ravel(), cells.size)
         # scatter to idx + 1 as the counts at idx shifted by one cell
-        a[1:] += np.bincount(idx.ravel(), (vals * frac).ravel(), a.size)[:-1]
+        cells[1:] += np.bincount(idx.ravel(), (v * frac).ravel(), cells.size)[:-1]
     acc = acc.reshape(2, side, side + 4)[:, :, 2:-2]
     return acc[1] + acc[0].T
 
@@ -224,30 +260,35 @@ def backproject_pixel_driven(values: np.ndarray, geom: Geometry, side=None) -> n
     scatter has sub-pixel beating when rays are wider than pixels laterally);
     use this where the result is fed to a high-pass filter.  Each view is
     padded with two zero bins at each end and detector indices are clipped to
-    [-2, n_bins], so pixels that project off the detector read zero.
+    [-2, n_bins], so pixels that project off the detector read zero (and
+    `_band` skips them in blocks of rows).
     """
     side = geom.image_side if side is None else side
-    dx = geom.pixel_spacing
-    half = (side - 1) / 2.0
-    coords = (np.arange(side) - half) * dx
-    x = coords[None, :]
-    y = coords[:, None]
+    _check_values(values, geom)
+    half, ratio = (side - 1) / 2.0, geom.pixel_spacing / geom.det_spacing
+    coords = (np.arange(side) - half) * geom.pixel_spacing
     out = np.zeros((side, side))
     off = (geom.n_bins - 1) / 2.0
     padded = np.pad(values, ((0, 0), (2, 2)))
-    for vi, theta in enumerate(geom.angles):
-        s = x * np.cos(theta) + y * np.sin(theta)
-        s /= geom.det_spacing
-        s += off
-        b0 = np.floor(s).astype(np.int64)
-        frac = np.subtract(s, b0, out=s)
-        idx = np.clip(b0, -2, geom.n_bins, out=b0)
-        idx += 2
-        v0, v1 = padded[vi].take(idx), padded[vi, 1:].take(idx)
-        v1 *= frac
-        v0 *= np.subtract(1.0, frac, out=frac)
-        out += v0
-        out += v1
+    trig = [(np.cos(theta), np.sin(theta)) for theta in geom.angles]
+    step = max(1, _BLOCK_CELLS // side)
+    for r0 in range(0, side, step):
+        y, rows = coords[r0:r0 + step, None], out[r0:r0 + step]
+        for vi, (c, s) in enumerate(trig):
+            lo, hi = _band(float(s) * ratio, r0 - half, r0 + len(y) - 1 - half,
+                           float(c) * ratio, half, off + 1.0, side)
+            t = coords[None, lo:hi] * c + y * s
+            t /= geom.det_spacing
+            t += off
+            b0 = np.floor(t)
+            frac = np.subtract(t, b0, out=t)
+            idx = np.clip(b0, -2, geom.n_bins, out=b0).astype(np.int64)
+            idx += 2
+            v0, v1 = padded[vi].take(idx), padded[vi, 1:].take(idx)
+            v1 *= frac
+            v0 *= np.subtract(1.0, frac, out=frac)
+            rows[:, lo:hi] += v0
+            rows[:, lo:hi] += v1
     return out
 
 
@@ -261,15 +302,14 @@ def system_matrix(geom: Geometry):
 
     side, n_bins = geom.image_side, geom.n_bins
     cell_pixel = _padded_lines(np.arange(side * side).reshape(side, side), fill=-1)
-    bins = np.broadcast_to(np.arange(n_bins)[:, None], (n_bins, side))
     rows, cols, data = [], [], []
-    for vi, theta in enumerate(geom.angles):
-        drive_rows, idx, frac, weight = _taps(theta, geom)
-        pixel = cell_pixel[drive_rows]
+    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geom, side, by_lines=False):
+        pixel = cell_pixel[drive_rows][lines[0] * (side + 4):]
+        ray = np.broadcast_to(np.arange(*bins)[:, None] + vi * n_bins, idx.shape)
         for col, w in ((pixel.take(idx), weight * (1.0 - frac)),
                        (pixel[1:].take(idx), weight * frac)):
             m = col >= 0
-            rows.append(bins[m] + vi * n_bins)
+            rows.append(ray[m])
             cols.append(col[m])
             data.append(w[m])
     mat = sp.coo_matrix((np.concatenate(data),

@@ -85,16 +85,20 @@ def _haar_step_inv(ll, hl, lh, hh):
     return out
 
 
+def _check_levels(values, levels):
+    """Side of `values`, which `levels` Haar steps must halve exactly."""
+    side = values.shape[0]
+    if side % (1 << levels) != 0:
+        raise ValueError(f"side {side} not divisible by 2^{levels}")
+    return side
+
+
 def wavelet_analysis(values: np.ndarray, levels: int) -> np.ndarray:
     """Orthonormal multilevel 2-D Haar transform (exact inverse pair), packed
     in quadrant layout: the level-k approximation occupies the top-left
     (side/2^k)^2 block."""
-    values = np.asarray(values, dtype=np.float64)
-    side = values.shape[0]
-    if side % (1 << levels) != 0:
-        raise ValueError(f"side {side} not divisible by 2^{levels}")
-    out = values.copy()
-    n = side
+    out = np.array(values, dtype=np.float64)
+    n = _check_levels(out, levels)
     for _ in range(levels):
         ll, hl, lh, hh = _haar_step(out[:n, :n])
         h = n // 2
@@ -109,7 +113,7 @@ def wavelet_analysis(values: np.ndarray, levels: int) -> np.ndarray:
 def wavelet_synthesis(coeffs: np.ndarray, levels: int) -> np.ndarray:
     """Inverse of `wavelet_analysis` for the same `levels`."""
     out = np.array(coeffs, dtype=np.float64)
-    n = out.shape[0] >> levels
+    n = _check_levels(out, levels) >> levels
     for _ in range(levels):
         m = n * 2
         out[:m, :m] = _haar_step_inv(out[:n, :n], out[:n, n:m],

@@ -388,7 +388,7 @@ class TestCli:
     def test_bench_command(self, capsys):
         assert main(["bench", "--side", "16", "--n-views", "8"]) == 0
         out = capsys.readouterr().out
-        for name in ("forward", "adjoint", "fbp", "sgd_step"):
+        for name in ("forward", "adjoint", "fbp", "deconv", "sgd_step"):
             assert re.search(rf"\b{name} \d+\.\d+s", out), out
         assert "(16^2, 8 views)" in out
 

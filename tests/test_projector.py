@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from sparsect import projector
 from sparsect.numerics import Rng
 from sparsect.projector import (Geometry, Image, Sinogram, uniform_geometry,
                                 forward, adjoint, backproject_values,
@@ -121,6 +124,15 @@ class TestForwardAdjoint:
             forward(Image(np.zeros((16, 16)), geom.pixel_spacing), geom)
         with pytest.raises(ValueError):
             Sinogram(geometry=geom, values=np.zeros((4, geom.n_bins)))
+
+    @pytest.mark.parametrize("backproject", [backproject_values, backproject_pixel_driven])
+    @pytest.mark.parametrize("extra", [(0, 10), (3, 0)], ids=["extra-bins", "extra-views"])
+    def test_backprojectors_reject_misshapen_values(self, backproject, extra):
+        geom = uniform_geometry(32, 10)
+        values = np.ones((geom.n_views + extra[0], geom.n_bins + extra[1]))
+        expected = f"({geom.n_views}, {geom.n_bins})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            backproject(values, geom)
 
     @pytest.mark.parametrize("values, spacing", [
         (np.zeros((0, 0)), -1.0), (np.zeros((0, 0)), 0.1),
@@ -302,6 +314,68 @@ class TestKernelsMatchMaskedReference:
         got, ref = system_matrix(geom), _masked_system_matrix(geom)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+class TestBlockedKernels:
+    """Geometries that every kernel cuts into at least three blocks of the
+    module's scratch budget, here shrunk so that side 128 splits: the blocked
+    kernels against the masked per-view formulas, and against themselves with
+    a budget that holds a whole view."""
+
+    BUDGET = 4096
+
+    @pytest.fixture(params=[0.5, 2.0, 4.0], ids=lambda bpp: f"side128-bpp{bpp}")
+    def geom(self, request, monkeypatch):
+        monkeypatch.setattr(projector, "_BLOCK_CELLS", self.BUDGET)
+        extra = np.random.default_rng(128).uniform(0.0, np.pi, 9)
+        angles = np.unique(np.concatenate([[0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4],
+                                           extra]))
+        geom = uniform_geometry(128, 4, bins_per_pixel=request.param).with_angles(angles)
+        ext = 2 * geom.image_side + 1
+
+        def blocks(n, width):
+            return -(-n // max(1, projector._BLOCK_CELLS // width))
+        for n, width in ((geom.n_bins, 128), (128, geom.n_bins), (ext, geom.n_bins),
+                         (128, 128), (ext, ext)):
+            assert blocks(n, width) >= 3, (n, width)
+        return geom
+
+    @staticmethod
+    def _whole_views(monkeypatch, fn, *args):
+        """`fn(*args)` with a budget that holds any view in one block."""
+        with monkeypatch.context() as m:
+            m.setattr(projector, "_BLOCK_CELLS", 1 << 40)
+            return fn(*args)
+
+    def test_forward(self, geom, monkeypatch):
+        x = Rng(21).normal((128, 128))
+        img = Image(x, geom.pixel_spacing)
+        got = forward(img, geom).values
+        assert np.array_equal(got, _masked_forward(x, geom))
+        assert np.array_equal(got, self._whole_views(monkeypatch, forward, img, geom).values)
+
+    def test_system_matrix(self, geom):
+        got, ref = system_matrix(geom), _masked_system_matrix(geom)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
+    def test_backproject_values(self, geom, ext, monkeypatch):
+        side = None if ext is None else ext * geom.image_side + 1
+        y = Rng(22).normal((geom.n_views, geom.n_bins))
+        got = backproject_values(y, geom, side)
+        _assert_close_to_max(got, _masked_backproject(y, geom, side))
+        assert np.array_equal(got, self._whole_views(monkeypatch, backproject_values,
+                                                     y, geom, side))
+
+    @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
+    def test_pixel_driven(self, geom, ext, monkeypatch):
+        side = None if ext is None else ext * geom.image_side + 1
+        y = Rng(23).normal((geom.n_views, geom.n_bins))
+        got = backproject_pixel_driven(y, geom, side)
+        assert np.array_equal(got, _masked_pixel_driven(y, geom, side))
+        assert np.array_equal(got, self._whole_views(monkeypatch, backproject_pixel_driven,
+                                                     y, geom, side))
 
 
 class TestSystemMatrix:

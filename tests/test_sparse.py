@@ -52,6 +52,10 @@ class TestHaar:
         with pytest.raises(ValueError):
             wavelet_analysis(np.zeros((20, 20)), 3)
 
+    def test_synthesis_rejects_bad_side(self):
+        with pytest.raises(ValueError, match="not divisible by 2"):
+            wavelet_synthesis(np.zeros((20, 20)), 3)
+
 
 class TestGradPairs:
     def test_adjoint_dot_test(self):
