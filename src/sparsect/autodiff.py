@@ -21,14 +21,13 @@ __all__ = ["Var", "conv2d", "relu", "maxpool2", "upsample2", "concat_channels",
 class Var:
     """Tape node: forward value, gradient accumulator, parent links."""
 
-    __slots__ = ("value", "grad", "parents", "grad_fn", "name")
+    __slots__ = ("value", "grad", "parents", "grad_fn")
 
-    def __init__(self, value, parents=(), grad_fn=None, name=None):
+    def __init__(self, value, parents=(), grad_fn=None):
         self.value = value
         self.grad = None
         self.parents = parents
         self.grad_fn = grad_fn
-        self.name = name
 
 
 def _toposort(root):

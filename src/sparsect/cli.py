@@ -98,7 +98,8 @@ def cmd_ista(args):
 def cmd_tv(args):
     sino = _load_sino(args.sino, args.subsample)
     config = SolverConfig(lam=args.lam, rho=args.rho, max_iters=args.iters,
-                          cg_iters=args.cg_iters, tol=args.tol)
+                          cg_iters=args.cg_iters, cg_tol=ExperimentManifest.cg_tol,
+                          tol=args.tol)
     history = []
     image = tv_admm_reconstruct(sino, config, history=history)
     _save_recon(image, args.out, args.pgm)
@@ -248,9 +249,9 @@ def build_parser():
     p.add_argument("--sino", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--lam", type=float, default=3e-3)
-    p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--cg-iters", type=int, default=15)
+    p.add_argument("--rho", type=float, default=ExperimentManifest.tv_rho)
+    p.add_argument("--iters", type=int, default=ExperimentManifest.tv_iters)
+    p.add_argument("--cg-iters", type=int, default=ExperimentManifest.cg_iters)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--subsample", type=int, default=1)
     p.add_argument("--history", help="CSV path for per-iteration diagnostics")

@@ -102,16 +102,13 @@ def load_image(path) -> Image:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def save_pgm(values, path, bits=16, window=None):
-    """Binary PGM (P5) with linear windowing; window defaults to (min, max)."""
+def save_pgm(values, path):
+    """16-bit binary PGM (P5), windowed linearly from min to max."""
     v = np.asarray(values, dtype=np.float64)
-    if window is None:
-        window = (float(v.min()), float(v.max()))
-    lo, hi = window
+    lo, hi = float(v.min()), float(v.max())
     span = hi - lo if hi > lo else 1.0
-    maxval = (1 << bits) - 1
-    q = np.clip(np.rint((v - lo) / span * maxval), 0, maxval)
-    q = q.astype(">u2" if bits == 16 else "u1")
+    maxval = 65535
+    q = np.clip(np.rint((v - lo) / span * maxval), 0, maxval).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n# window {lo!r} {hi!r}\n{v.shape[1]} {v.shape[0]}\n{maxval}\n"
                  .encode())

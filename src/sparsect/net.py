@@ -34,13 +34,14 @@ class NetworkParams:
                              self.gain, self.offset)
 
 
+LR_START, LR_END = 0.01, 0.001  # geometric decay across epochs
+MOMENTUM = 0.99
+CLIP = 1e-2                     # elementwise gradient clip
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 30
-    lr_start: float = 0.01      # geometric decay across epochs
-    lr_end: float = 0.001
-    momentum: float = 0.99
-    clip: float = 1e-2          # elementwise gradient clip
     augment: bool = True        # random horizontal/vertical flips
 
 
@@ -91,11 +92,10 @@ def init_params(depth=3, base_channels=16, rng: Rng = None,
     return NetworkParams(depth, base_channels, weights)
 
 
-def _conv_block(x, pvars, name, n_convs=2, final_relu=True):
-    for i in range(1, n_convs + 1):
-        x = ad.conv2d(x, pvars[f"{name}_conv{i}.w"], pvars[f"{name}_conv{i}.b"])
-        if final_relu or i < n_convs:
-            x = ad.relu(x)
+def _conv_block(x, pvars, name):
+    for i in (1, 2):
+        x = ad.relu(ad.conv2d(x, pvars[f"{name}_conv{i}.w"],
+                              pvars[f"{name}_conv{i}.b"]))
     return x
 
 
@@ -107,7 +107,7 @@ def _build_graph(params: NetworkParams, input_values):
         raise ValueError("network input must be a 2-D image")
     if xin.shape[0] % (1 << depth) or xin.shape[1] % (1 << depth):
         raise ValueError(f"input side must be divisible by 2^{depth}")
-    pvars = {k: ad.Var(v, name=k) for k, v in params.weights.items()}
+    pvars = {k: ad.Var(v) for k, v in params.weights.items()}
     x0 = ad.Var(xin[None, :, :])
 
     if depth == 0:
@@ -155,8 +155,7 @@ def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None
     if not dataset:
         raise ValueError("training dataset is empty")
     rng = rng or Rng(0)
-    schedule_ok = schedule.epochs >= 1
-    if not schedule_ok:
+    if schedule.epochs < 1:
         raise ValueError("need at least one epoch")
     params = params.copy()
     velocity = {k: np.zeros_like(v) for k, v in params.weights.items()}
@@ -164,10 +163,10 @@ def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None
     checkpoint = params.copy()
     for epoch in range(schedule.epochs):
         if schedule.epochs == 1:
-            lr = schedule.lr_start
+            lr = LR_START
         else:
             frac = epoch / (schedule.epochs - 1)
-            lr = schedule.lr_start * (schedule.lr_end / schedule.lr_start) ** frac
+            lr = LR_START * (LR_END / LR_START) ** frac
         order = _permutation(rng, len(dataset))
         losses = []
         for i in order:
@@ -186,8 +185,8 @@ def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None
             seed = (2.0 / diff.size) * diff
             ad.backward(out, seed.astype(out.value.dtype)[None, :, :])
             for k, v in pvars.items():
-                g = np.clip(v.grad, -schedule.clip, schedule.clip)
-                velocity[k] = schedule.momentum * velocity[k] - lr * g
+                g = np.clip(v.grad, -CLIP, CLIP)
+                velocity[k] = MOMENTUM * velocity[k] - lr * g
                 params.weights[k] += velocity[k]
         checkpoint = params.copy()
         val_snr = float("nan")

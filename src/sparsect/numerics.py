@@ -1,5 +1,6 @@
-"""Shared numeric foundations: portable seeded RNG, power-of-two FFT wrappers
-over numpy's pocketfft, affine calibration fit and affine-calibrated SNR.
+"""Shared numeric foundations: portable seeded RNG, the one FFT entry point
+(`fft_1d`/`fft_2d` over numpy's pocketfft), affine calibration fit and
+affine-calibrated SNR.
 
 Everything here is pure and deterministic.  All scalars are 64-bit; callers
 that want 32-bit (network training) cast at their own boundary.
@@ -41,7 +42,6 @@ class Rng:
     def __init__(self, seed: int):
         self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
-        self._gauss_spare = None
 
     def _raw(self, n):
         """Next n raw 64-bit outputs."""
@@ -91,27 +91,19 @@ class Rng:
         return Rng(int(child_seed))
 
 
-def _check_pow2(n, name):
-    if n == 0 or (n & (n - 1)) != 0:
-        raise ValueError(f"{name} requires a power-of-two length, got {n}")
-
-
 def fft_1d(x, inverse=False):
-    """DFT along the last axis (numpy's pocketfft).
+    """DFT along the last axis (numpy's pocketfft), of any length.
 
     Forward is unnormalized (fft([1,1,1,1]) == [4,0,0,0]); inverse divides by
-    n, so fft_1d(fft_1d(x), inverse=True) == x.  Length must be a power of two.
+    n, so fft_1d(fft_1d(x), inverse=True) == x.  Every FFT in sparsect goes
+    through `fft_1d` or `fft_2d`, so one place sees them all; a caller that
+    needs a power-of-two length pads to it itself.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    _check_pow2(x.shape[-1], "fft_1d")
     return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 def fft_2d(x, inverse=False):
-    """2-D DFT over the last two axes (both extents powers of two)."""
-    x = np.asarray(x, dtype=np.complex128)
-    _check_pow2(x.shape[-1], "fft_2d")
-    _check_pow2(x.shape[-2], "fft_2d")
+    """2-D DFT over the last two axes, normalized as `fft_1d`."""
     return np.fft.ifft2(x) if inverse else np.fft.fft2(x)
 
 

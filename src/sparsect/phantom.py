@@ -46,30 +46,27 @@ class Phantom:
                              f"got {self.fov_radius!r}")
 
 
-def random_phantom(rng: Rng, count_range=(3, 8), fov_radius=1.0) -> Phantom:
-    """Draw a phantom with a uniform-count list of random ellipses.
+def random_phantom(rng: Rng) -> Phantom:
+    """Draw 3 to 8 (uniform count) random ellipses in the unit field of view.
 
-    Centers are uniform in the disk of radius 0.9*fov, semi-axes uniform in
-    [0.05, 0.4]*fov, angles uniform in [0, pi), densities uniform in [-1, 1]
+    Centers are uniform in the disk of radius 0.9, semi-axes uniform in
+    [0.05, 0.4], angles uniform in [0, pi), densities uniform in [-1, 1]
     with the band |rho| < 0.1 excluded.  Ellipses that would poke outside the
     field-of-view disk are redrawn so every ellipse lies fully inside.
     """
-    lo, hi = count_range
-    if not (1 <= lo <= hi):
-        raise ValueError("count_range must satisfy 1 <= min <= max")
-    count = rng.integers(lo, hi)
+    count = rng.integers(3, 8)
     ellipses = []
     while len(ellipses) < count:
-        r = 0.9 * fov_radius * np.sqrt(rng.random())
+        r = 0.9 * np.sqrt(rng.random())
         phi = rng.uniform(0.0, 2 * np.pi)
-        a = rng.uniform(0.05, 0.4) * fov_radius
-        b = rng.uniform(0.05, 0.4) * fov_radius
+        a = rng.uniform(0.05, 0.4)
+        b = rng.uniform(0.05, 0.4)
         angle = rng.uniform(0.0, np.pi)
         rho = np.sign(rng.uniform(-1.0, 1.0)) * rng.uniform(0.1, 1.0)
-        if r + max(a, b) > fov_radius:  # keep support inside the FOV disk
+        if r + max(a, b) > 1.0:  # keep support inside the FOV disk
             continue
         ellipses.append(Ellipse(r * np.cos(phi), r * np.sin(phi), a, b, angle, float(rho)))
-    return Phantom(ellipses, fov_radius)
+    return Phantom(ellipses)
 
 
 def _pixel_grid(side, fov_radius):

@@ -84,6 +84,16 @@ class ExperimentManifest:
         if not self.scale_hi > self.scale_lo:
             raise ValueError(f"scale_hi ({self.scale_hi}) must exceed "
                              f"scale_lo ({self.scale_lo})")
+        try:  # the solver's own rules, otherwise first met at the first TV solve
+            _tv_config(self, 1.0 if self.tv_lambda <= 0 else self.tv_lambda)
+        except ValueError as exc:
+            raise ValueError(f"TV settings (tv_lambda, tv_rho, tv_iters, cg_iters, "
+                             f"cg_tol): {exc}") from exc
+        if self.tv_lambda <= 0 and not (  # lambda is tuned on training instances
+                self.tv_tune_count >= 1 and 0 < self.tv_lambda_lo < self.tv_lambda_hi):
+            raise ValueError(f"tuning needs tv_tune_count ({self.tv_tune_count}) >= 1 "
+                             f"and 0 < tv_lambda_lo ({self.tv_lambda_lo}) < "
+                             f"tv_lambda_hi ({self.tv_lambda_hi})")
 
     def to_entries(self):
         d = asdict(self)
@@ -100,8 +110,6 @@ class ExperimentManifest:
             cur = getattr(defaults, key)
             if key == "factors":
                 kwargs[key] = tuple(int(v) for v in value.split(","))
-            elif isinstance(cur, bool):
-                kwargs[key] = value.lower() in ("1", "true", "yes")
             elif isinstance(cur, int):
                 kwargs[key] = int(value)
             elif isinstance(cur, float):
@@ -172,15 +180,15 @@ def _tv_config(manifest, lam):
                         tol=1e-6)
 
 
-def tune_tv_lambda(manifest, subs_train, gts_train, table: ResultTable = None):
-    """Golden-section search over log-lambda on training instances only."""
+def tune_tv_lambda(manifest, subs_train, gts_train, table: ResultTable):
+    """Golden-section search over log-lambda on training instances only; each
+    (lambda, mean SNR) it scores is appended to `table.tune_log`."""
     def score(log_lam):
         lam = float(np.exp(log_lam))
         vals = [snr(gt, tv_admm_reconstruct(sub, _tv_config(manifest, lam)))
                 for sub, gt in zip(subs_train, gts_train)]
         mean = float(np.mean(vals))
-        if table is not None:
-            table.tune_log.append((lam, mean))
+        table.tune_log.append((lam, mean))
         return mean
 
     best_log, _ = golden_section(score, np.log(manifest.tv_lambda_lo),

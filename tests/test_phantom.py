@@ -27,8 +27,6 @@ class TestRandomPhantom:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            random_phantom(Rng(0), count_range=(0, 3))
-        with pytest.raises(ValueError):
             Ellipse(0, 0, -1, 1, 0, 1)
         with pytest.raises(ValueError):
             Phantom([])

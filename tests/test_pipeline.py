@@ -11,9 +11,12 @@ from sparsect import formats
 from sparsect.numerics import Rng
 from sparsect.projector import uniform_geometry, Image, Sinogram
 from sparsect.pipeline import (ExperimentManifest, run_experiment, snr,
-                               golden_section, SNR_CAP_DB, generate_dataset)
+                               golden_section, SNR_CAP_DB, generate_dataset,
+                               _tv_config)
 from sparsect.cli import main
 from sparsect.net import init_params
+from sparsect.fbp import subsample_views
+from sparsect.sparse import tv_admm_reconstruct
 
 
 class TestSnr:
@@ -78,10 +81,17 @@ class TestManifest:
     @pytest.mark.parametrize("fields", [
         dict(n_train=0), dict(epochs=0), dict(factors=(0, 7)),
         dict(n_views=30, factors=(7, 31)), dict(image_side=36, depth=3), dict(depth=-1),
-        dict(scale_lo=5.0, scale_hi=5.0), dict(scale_hi=float("nan"))])
+        dict(scale_lo=5.0, scale_hi=5.0), dict(scale_hi=float("nan")),
+        dict(tv_rho=0.0), dict(tv_rho=float("nan")), dict(tv_iters=0), dict(cg_iters=0),
+        dict(cg_tol=-1e-7), dict(tv_lambda=float("nan")),
+        dict(tv_tune_count=0), dict(tv_lambda_lo=0.0), dict(tv_lambda_lo=0.05),
+        dict(tv_lambda_lo=3e-2, tv_lambda_hi=3e-2)])
     def test_rejects_runs_that_would_fail_late(self, fields):
         with pytest.raises(ValueError):
             ExperimentManifest(**fields)
+
+    def test_fixed_lambda_needs_no_tuning_settings(self):
+        ExperimentManifest(tv_lambda=3e-3, tv_tune_count=0, tv_lambda_lo=0.0)
 
 
 def _nan_angle_sino(tmp_path):
@@ -417,6 +427,17 @@ class TestCli:
                      os.path.join(d, "tv.img")]) == 0
         out = capsys.readouterr().out
         assert "snr_db =" in out
+
+    def test_tv_command_runs_the_pipeline_settings(self, tmp_path, capsys):
+        d = str(tmp_path)
+        assert main(["gen-data", "--seed", "1", "--count", "1", "--out-dir", d]) == 0
+        sino = os.path.join(d, "sino_0000.sino")
+        out = os.path.join(d, "tv.img")
+        assert main(["tv", "--sino", sino, "--out", out, "--lam", "3e-3",
+                     "--subsample", "7"]) == 0
+        sub = subsample_views(formats.load_sinogram(sino), 7)
+        expected = tv_admm_reconstruct(sub, _tv_config(ExperimentManifest(), 3e-3))
+        assert np.array_equal(formats.load_image(out).values, expected.values)
 
     def test_project_discrete_vs_analytic(self, tmp_path, capsys):
         d = str(tmp_path)

@@ -438,11 +438,6 @@ class TestCertification:
         report = certify_normal_convolution(geom, normal_op=conv_op)
         assert report.shift_invariance_score < 1e-12
 
-    def test_rejects_far_probe(self):
-        geom = uniform_geometry(64, 10)
-        with pytest.raises(ValueError):
-            certify_normal_convolution(geom, probe_locations=[(32, 32), (2, 2)])
-
     def test_rejects_non_power_of_two_side(self):
         geom = uniform_geometry(48, 10)
         with pytest.raises(ValueError):

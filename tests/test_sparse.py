@@ -88,10 +88,6 @@ class TestLipschitz:
         L = estimate_lipschitz(geom, rng=Rng(1), op=lambda v: 4.0 * v)
         assert abs(L - 4.2) < 1e-6          # 4 * 1.05
 
-    def test_rejects_few_iters(self):
-        with pytest.raises(ValueError):
-            estimate_lipschitz(uniform_geometry(32, 10), iters=2)
-
 
 def _instance(seed=0, side=32, n_views=30, factor=3):
     geom = uniform_geometry(side, n_views)
@@ -197,20 +193,15 @@ class TestTvAdmm:
         primal = [row[2] for row in hist]
         assert primal[-1] < primal[0]
 
-    def test_anisotropic_mode_runs(self):
-        sino = _instance(seed=8, factor=2)
-        img = tv_admm_reconstruct(sino, SolverConfig(lam=2e-3, rho=0.1,
-                                                     max_iters=10, cg_iters=10,
-                                                     tv_mode="anisotropic"))
-        assert np.all(np.isfinite(img.values))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(lam=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(rho=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(tv_mode="huber")
+            SolverConfig(cg_tol=-1e-8)
+        with pytest.raises(ValueError):
+            SolverConfig(rho=float("nan"))
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
