@@ -18,7 +18,8 @@ from . import formats
 from .numerics import Rng
 from .phantom import random_phantom, rasterize, analytic_sinogram, load_phantom, save_phantom
 from .projector import uniform_geometry, forward, adjoint, Image, certify_normal_convolution
-from .fbp import make_ramp, fbp_reconstruct, deconvolution_form, subsample_views
+from .fbp import (APODIZATIONS, make_ramp, fbp_reconstruct, deconvolution_form,
+                  subsample_views)
 from .sparse import SolverConfig, ista_reconstruct, tv_admm_reconstruct, SolverError
 from .net import TrainConfig, init_params, forward_net, train
 from .pipeline import (ExperimentManifest, run_experiment, snr, generate_dataset,
@@ -33,9 +34,7 @@ def _geometry(args):
 
 def _load_sino(path, subsample=1):
     sino = formats.load_sinogram(path)
-    if subsample > 1:
-        sino = subsample_views(sino, subsample)
-    return sino
+    return sino if subsample == 1 else subsample_views(sino, subsample)
 
 
 def _save_recon(image, out, pgm=False):
@@ -118,8 +117,7 @@ def cmd_train(args):
     params, history = train_cnn(manifest, args.factor, data)
     formats.save_weights(params, args.out)
     if args.history:
-        formats.write_csv(history, ["epoch", "train_loss", "val_snr_db"],
-                          args.history)
+        formats.write_csv(history, ["epoch", "train_loss"], args.history)
     print(f"trained {args.epochs} epochs on {len(data)} pairs; "
           f"final train loss {history[-1][1]:.6g}; weights at {args.out}")
 
@@ -225,7 +223,7 @@ def build_parser():
     p = sub.add_parser("fbp", help="filtered backprojection")
     p.add_argument("--sino", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--apodization", choices=["none", "hann", "cosine"], default="none")
+    p.add_argument("--apodization", choices=APODIZATIONS, default="none")
     p.add_argument("--subsample", type=int, default=1, help="keep every Nth view")
     p.add_argument("--deconvolution", action="store_true",
                    help="image-domain deconvolution form instead of view filtering")

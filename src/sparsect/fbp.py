@@ -23,7 +23,6 @@ APODIZATIONS = ("none", "hann", "cosine")
 
 @dataclass(frozen=True)
 class RampFilter:
-    n_taps: int
     taps: np.ndarray           # symmetric spatial-domain coefficients
     det_spacing: float
     apodization: str = "none"
@@ -31,7 +30,7 @@ class RampFilter:
     def __post_init__(self):
         if self.apodization not in APODIZATIONS:
             raise ValueError(f"unknown apodization {self.apodization!r}")
-        if self.n_taps % 2 == 0 or len(self.taps) != self.n_taps:
+        if len(self.taps) % 2 == 0:
             raise ValueError("ramp filter needs an odd tap count")
 
 
@@ -57,8 +56,7 @@ def make_ramp(n_bins: int, det_spacing: float, apodization="none") -> RampFilter
     taps = np.zeros(2 * half + 1)
     taps[odd] = -1.0 / (np.pi * np.pi * offs[odd] * offs[odd] * d2)
     taps[half] = 1.0 / (4.0 * d2)
-    return RampFilter(n_taps=2 * half + 1, taps=taps, det_spacing=det_spacing,
-                      apodization=apodization)
+    return RampFilter(taps=taps, det_spacing=det_spacing, apodization=apodization)
 
 
 def _next_pow2(n):
@@ -87,7 +85,7 @@ def filter_views(values: np.ndarray, filt: RampFilter) -> np.ndarray:
     convolution integral.
     """
     n_views, n_bins = values.shape
-    half = filt.n_taps // 2
+    half = len(filt.taps) // 2
     size = _next_pow2(max(2 * n_bins, n_bins + half + 1))
     kernel = np.zeros(size)
     kernel[: half + 1] = filt.taps[half:]
@@ -108,28 +106,22 @@ def _backprojection_scale(geom: Geometry) -> float:
     return (np.pi / geom.n_views) * geom.det_spacing / geom.pixel_spacing ** 2
 
 
-def fbp_reconstruct(sinogram: Sinogram, filt: RampFilter = None,
-                    out_side: int = None) -> Image:
+def fbp_reconstruct(sinogram: Sinogram, filt: RampFilter = None) -> Image:
     """Measurement-domain FBP: per-view ramp filtering, then back projection."""
     geom = sinogram.geometry
     if filt is None:
         filt = make_ramp(geom.n_bins, geom.det_spacing, "none")
     if abs(filt.det_spacing - geom.det_spacing) > 1e-12 * geom.det_spacing:
         raise ValueError("filter detector spacing does not match sinogram geometry")
-    if out_side is not None:
-        geom = geom.with_side(out_side)
     filtered = filter_views(sinogram.values, filt)
     bp = adjoint(Sinogram(geometry=geom, values=filtered))
     return Image(values=bp.values * _backprojection_scale(geom),
                  pixel_spacing=geom.pixel_spacing)
 
 
-def deconvolution_form(sinogram: Sinogram, out_side: int = None,
-                       apodization="none") -> Image:
+def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
     """Image-domain FBP: back project first, then apply the 2-D ||f|| filter."""
     geom = sinogram.geometry
-    if out_side is not None:
-        geom = geom.with_side(out_side)
     side = geom.image_side
     # back project onto a 2x-extended grid: measurements are truly zero beyond
     # the detector, so the slowly decaying tails of the back projection are

@@ -11,7 +11,7 @@ Image (.img):      magic "SPCTIMG1", u32 side, f64 pixel_spacing,
 Weights (.net):    magic "SPCTNET2", u32 depth, u32 base_channels,
     u32 n_arrays, f64 gain, f64 offset (the network sees gain * image + offset),
     then per array: u16 name length, name utf-8, u8 ndim, u32 dims[ndim], f32
-    data.  Version 1 ("SPCTNET1") has no gain and offset: read as 1 and 0.
+    data.  Version 1 files ("SPCTNET1", without gain and offset) are rejected.
 """
 
 import math
@@ -27,7 +27,6 @@ from .projector import Geometry, Image, Sinogram
 SINO_MAGIC = b"SPCTSINO"
 IMG_MAGIC = b"SPCTIMG1"
 NET_MAGIC = b"SPCTNET2"
-NET_MAGIC_V1 = b"SPCTNET1"
 
 
 def save_sinogram(sino: Sinogram, path):
@@ -134,15 +133,12 @@ def save_weights(params: NetworkParams, path):
 def load_weights(path) -> NetworkParams:
     """Weights of the network that `layer_specs(depth, base_channels)`
     describes: exactly its arrays, in its shapes, with finite values, and
-    its input map (version 1 files: gain 1, offset 0)."""
+    its input map."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic not in (NET_MAGIC, NET_MAGIC_V1):
+        if fh.read(8) != NET_MAGIC:
             raise ValueError(f"{path}: not a weights file")
         depth, base_channels, n_arrays = _unpack(fh, "<III", path, "header")
-        gain, offset = 1.0, 0.0
-        if magic == NET_MAGIC:
-            gain, offset = _unpack(fh, "<dd", path, "input map")
+        gain, offset = _unpack(fh, "<dd", path, "input map")
         if not (math.isfinite(gain) and gain != 0 and math.isfinite(offset)):
             raise ValueError(f"{path}: input map needs a finite non-zero gain and "
                              f"a finite offset, got {gain!r}, {offset!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .numerics import Rng, snr
+from .numerics import Rng
 
 __all__ = ["NetworkParams", "TrainConfig", "init_params", "forward_net",
            "backward_net", "train", "layer_specs"]
@@ -143,12 +143,11 @@ def backward_net(params: NetworkParams, input_values, loss_grad):
     return {k: v.grad for k, v in pvars.items()}
 
 
-def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None,
-          val_set=None):
+def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None):
     """SGD (batch 1) with momentum, elementwise gradient clipping, geometric
     learning-rate decay, and flip augmentation applied identically to input
     and target.  Returns (params, history) where history rows are
-    (epoch, mean_train_loss, mean_val_snr_db).
+    (epoch, mean_train_loss).
 
     A non-finite loss aborts, returning the last finite checkpoint.
     """
@@ -189,11 +188,7 @@ def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None
                 velocity[k] = MOMENTUM * velocity[k] - lr * g
                 params.weights[k] += velocity[k]
         checkpoint = params.copy()
-        val_snr = float("nan")
-        if val_set:
-            val_snr = float(np.mean([snr(t, forward_net(params, x))
-                                     for x, t in val_set]))
-        history.append((epoch, float(np.mean(losses)), val_snr))
+        history.append((epoch, float(np.mean(losses))))
     return params, history
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .numerics import Rng, snr, SNR_CAP_DB
 from .projector import uniform_geometry
 from .phantom import random_phantom, rasterize, analytic_sinogram, save_phantom
-from .fbp import make_ramp, fbp_reconstruct, subsample_views
+from .fbp import APODIZATIONS, make_ramp, fbp_reconstruct, subsample_views
 from .sparse import SolverConfig, tv_admm_reconstruct
 from .net import TrainConfig, init_params, forward_net, train
 from . import formats
@@ -72,9 +72,15 @@ class ExperimentManifest:
 
     def __post_init__(self):
         """Reject runs that could only fail late, after the dataset is built."""
-        if self.n_train < 1 or self.epochs < 1:
-            raise ValueError(f"n_train ({self.n_train}) and epochs ({self.epochs}) "
-                             f"must be at least 1")
+        if min(self.n_train, self.epochs, self.base_channels) < 1 or self.n_test < 0:
+            raise ValueError(f"n_train ({self.n_train}), epochs ({self.epochs}) and "
+                             f"base_channels ({self.base_channels}) must be at least 1, "
+                             f"n_test ({self.n_test}) at least 0")
+        if self.image_side < 16:  # the smallest side `rasterize` draws
+            raise ValueError(f"image_side ({self.image_side}) must be at least 16")
+        bad = {self.gt_apodization, self.input_apodization} - set(APODIZATIONS)
+        if bad:
+            raise ValueError(f"apodizations {sorted(bad)} not in {APODIZATIONS}")
         bad = [f for f in self.factors if not 1 <= f <= self.n_views]
         if bad:
             raise ValueError(f"factors {bad} outside [1, n_views = {self.n_views}]")
@@ -154,19 +160,18 @@ class ResultTable:
                           os.path.join(out_dir, "timings.csv"))
 
 
-def generate_dataset(manifest: ExperimentManifest, indices=None):
-    """Phantoms, exact sinograms, and ground-truth FBPs for the given indices.
+def generate_dataset(manifest: ExperimentManifest):
+    """Phantoms, exact sinograms, and ground-truth FBPs for instances
+    0 .. n_train + n_test - 1, training instances first.
 
     Index i always uses the same derived seed, so train/test membership is a
     pure function of the manifest.
     """
     geom = uniform_geometry(manifest.image_side, manifest.n_views)
     root = Rng(manifest.seed)
-    total = manifest.n_train + manifest.n_test
-    indices = range(total) if indices is None else indices
     gt_filter = make_ramp(geom.n_bins, geom.det_spacing, manifest.gt_apodization)
     out = []
-    for i in indices:
+    for i in range(manifest.n_train + manifest.n_test):
         ph = random_phantom(root.split(i))
         sino = analytic_sinogram(ph, geom)
         gt = fbp_reconstruct(sino, gt_filter)
@@ -223,6 +228,9 @@ def train_cnn(manifest: ExperimentManifest, factor, train_data):
 
 
 def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
+    if manifest.n_test < 1:
+        raise ValueError(f"a run scores n_test ({manifest.n_test}) test instances, "
+                         f"at least 1")
     os.makedirs(out_dir, exist_ok=True)
     manifest.save(os.path.join(out_dir, "manifest.txt"))
     geom, data = generate_dataset(manifest)
@@ -271,8 +279,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
 
         # residual CNN on (sparse FBP, full-view FBP) pairs
         params, history = train_cnn(manifest, factor, train_data)
-        formats.write_csv([(e, l, s) for e, l, s in history],
-                          ["epoch", "train_loss", "val_snr_db"],
+        formats.write_csv(history, ["epoch", "train_loss"],
                           os.path.join(out_dir, f"history_x{factor}.csv"))
         formats.save_weights(params, os.path.join(out_dir, f"net_x{factor}.net"))
         t0 = time.perf_counter()

@@ -11,10 +11,11 @@ rotation axis.
 One tap builder, `_taps`, yields the Joseph crossings of each view block by
 block as indices into image lines padded with two cells at each end;
 `forward` gathers through it, `backproject_values` scatters through it and
-`system_matrix` maps the same taps to pixel columns.  Blocks of at most
-`_BLOCK_CELLS` cells skip what lands only on padding and keep every sum in
-order: `forward` sums whole zero-filled rows of a slab of bins, the adjoint
-takes slabs of lines (a cell's bins share one `bincount`), and
+`system_matrix` maps the same taps to pixel columns, all on the geometry's
+own grid (only `backproject_pixel_driven` takes another side).  Blocks of
+at most `_BLOCK_CELLS` cells skip what lands only on padding and keep every
+sum in order: `forward` sums whole zero-filled rows of a slab of bins, the
+adjoint takes slabs of lines (a cell's bins share one `bincount`), and
 `backproject_pixel_driven` loops over views in blocks of rows.  `H*H` at
 256²/360 takes about 1.0 s on one core (1.6 s unblocked).  `normal_operator`
 uses the CSR matrix for side <= 128 and `forward`/`adjoint` above that.
@@ -78,14 +79,6 @@ class Geometry:
     def with_angles(self, angles):
         return Geometry(tuple(angles), self.n_bins, self.det_spacing,
                         self.image_side, self.pixel_spacing)
-
-    def with_side(self, side):
-        """Same detector and field of view on a side x side pixel grid."""
-        if side == self.image_side:
-            return self
-        fov = self.image_side * self.pixel_spacing
-        return Geometry(tuple(self.angles), self.n_bins, self.det_spacing,
-                        side, fov / side)
 
 
 def uniform_geometry(image_side, n_views, fov_radius=1.0, bins_per_pixel=2.0):
@@ -159,20 +152,20 @@ def _band(a, t0, t1, b, cb, reach, n):
     return max(0, int(mid - width)), min(n, int(mid + width) + 1)
 
 
-def _taps(geom, side, by_lines):
+def _taps(geom, by_lines):
     """Yield (vi, drive_rows, weight, bins, lines, idx, frac): the Joseph taps
-    of each view of `geom` on a grid of extent `side` (same pixel spacing and
-    center) in slabs of whole lines (by_lines) or bins, each cut by `_band`
-    to the range of the other axis that can reach the grid.  Rays closer to
-    vertical (drive_rows) cross every image row, the others every column.
-    Bin b crosses line k g*(b - off) + h*(k - half) cells from the line's
-    middle, between lateral cells idx[b, k] and idx[b, k] + 1, with weights
-    (1 - frac, frac) times `weight`, the path length through a line.  `idx`
-    indexes the lines from lines[0] on, each padded with two cells at both
-    ends (side + 4 per line); crossings are clipped to [-2, side] first, so
-    a tap off the grid lands on a pad cell.
+    of each view of `geom` on its own side x side grid, in slabs of whole
+    lines (by_lines) or bins, each cut by `_band` to the range of the other
+    axis that can reach the grid.  Rays closer to vertical (drive_rows) cross
+    every image row, the others every column.  Bin b crosses line k
+    g*(b - off) + h*(k - half) cells from the line's middle, between lateral
+    cells idx[b, k] and idx[b, k] + 1, with weights (1 - frac, frac) times
+    `weight`, the path length through a line.  `idx` indexes the lines from
+    lines[0] on, each padded with two cells at both ends (side + 4 per line);
+    crossings are clipped to [-2, side] first, so a tap off the grid lands on
+    a pad cell.
     """
-    n_bins, dx = geom.n_bins, geom.pixel_spacing
+    side, n_bins, dx = geom.image_side, geom.n_bins, geom.pixel_spacing
     n, other = (side, n_bins) if by_lines else (n_bins, side)
     step = max(1, _BLOCK_CELLS // other)
     half, off = (side - 1) / 2.0, (n_bins - 1) / 2.0
@@ -218,7 +211,7 @@ def forward(image: Image, geometry: Geometry) -> Sinogram:
     side = geometry.image_side
     out = np.zeros((geometry.n_views, geometry.n_bins))
     flat = _padded_lines(image.values)
-    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geometry, side, by_lines=False):
+    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geometry, by_lines=False):
         cells = flat[drive_rows][lines[0] * (side + 4):]
         v0, v1 = cells.take(idx), cells[1:].take(idx)
         v1 *= frac
@@ -229,15 +222,14 @@ def forward(image: Image, geometry: Geometry) -> Sinogram:
     return Sinogram(geometry=geometry, values=out)
 
 
-def backproject_values(values: np.ndarray, geom: Geometry, side=None) -> np.ndarray:
-    """Transpose-weight back projection onto a grid of extent `side`
-    (default: the geometry's own grid, giving the exact adjoint of `forward`).
+def backproject_values(values: np.ndarray, geom: Geometry) -> np.ndarray:
+    """Transpose-weight back projection, the exact adjoint of `forward`.
     Column- and row-driven views scatter into two padded line-major
     accumulators whose pad cells are dropped at the end."""
-    side = geom.image_side if side is None else side
+    side = geom.image_side
     _check_values(values, geom)
     acc = np.zeros((2, side * (side + 4)))
-    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geom, side, by_lines=True):
+    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geom, by_lines=True):
         v = values[vi, bins[0]:bins[1], None] * weight
         cells = acc[int(drive_rows), lines[0] * (side + 4):lines[1] * (side + 4)]
         cells += np.bincount(idx.ravel(), (v * (1.0 - frac)).ravel(), cells.size)
@@ -303,7 +295,7 @@ def system_matrix(geom: Geometry):
     side, n_bins = geom.image_side, geom.n_bins
     cell_pixel = _padded_lines(np.arange(side * side).reshape(side, side), fill=-1)
     rows, cols, data = [], [], []
-    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geom, side, by_lines=False):
+    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geom, by_lines=False):
         pixel = cell_pixel[drive_rows][lines[0] * (side + 4):]
         ray = np.broadcast_to(np.arange(*bins)[:, None] + vi * n_bins, idx.shape)
         for col, w in ((pixel.take(idx), weight * (1.0 - frac)),

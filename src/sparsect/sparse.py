@@ -119,19 +119,18 @@ def wavelet_synthesis(coeffs: np.ndarray, levels: int) -> np.ndarray:
     return out
 
 
-def estimate_lipschitz(geometry: Geometry, rng: Rng = None, op=None) -> float:
-    """Power iteration on H*H (50 steps from a seeded Gaussian start), times a
-    1.05 safety factor.  W is orthonormal, so ||W*H*HW|| = ||H*H|| and the
-    result also bounds ISTA's step operator.
+def estimate_lipschitz(geometry: Geometry, op=None) -> float:
+    """Power iteration on H*H (50 steps from the Gaussian start of `Rng(0)`),
+    times a 1.05 safety factor.  W is orthonormal, so ||W*H*HW|| = ||H*H||
+    and the result also bounds ISTA's step operator.
 
     `op` is the normal operator H*H (callable on value arrays), built from
     `geometry` when omitted; a solver passes the one it already holds, and
     tests pass operators with known spectra.
     """
-    rng = rng or Rng(0)
     if op is None:
         op = normal_operator(geometry)
-    x = rng.normal((geometry.image_side,) * 2)
+    x = Rng(0).normal((geometry.image_side,) * 2)
     x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(50):
@@ -172,7 +171,7 @@ def ista_reconstruct(sinogram: Sinogram, config: SolverConfig,
     nop = normal_operator(geom)
     L = config.step_inverse
     if L is None:
-        L = estimate_lipschitz(geom, rng=Rng(0), op=nop)
+        L = estimate_lipschitz(geom, op=nop)
     if L <= 0:
         raise SolverError("step_inverse must be positive")
     levels = config.levels

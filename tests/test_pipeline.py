@@ -85,7 +85,9 @@ class TestManifest:
         dict(tv_rho=0.0), dict(tv_rho=float("nan")), dict(tv_iters=0), dict(cg_iters=0),
         dict(cg_tol=-1e-7), dict(tv_lambda=float("nan")),
         dict(tv_tune_count=0), dict(tv_lambda_lo=0.0), dict(tv_lambda_lo=0.05),
-        dict(tv_lambda_lo=3e-2, tv_lambda_hi=3e-2)])
+        dict(tv_lambda_lo=3e-2, tv_lambda_hi=3e-2), dict(input_apodization="bogus"),
+        dict(gt_apodization="hamming"), dict(n_test=-3), dict(image_side=8),
+        dict(base_channels=0)])
     def test_rejects_runs_that_would_fail_late(self, fields):
         with pytest.raises(ValueError):
             ExperimentManifest(**fields)
@@ -244,19 +246,30 @@ class TestRunExperiment:
         rows = (tmp_path / "results.csv").read_text().strip().split("\n")
         assert rows[0] == "factor,method,test_index,snr_db"
         assert len(rows) == 1 + 3 + 3 * 3   # header + factor1 + 3 methods x 3
+        history = (tmp_path / "history_x5.csv").read_text().strip().split("\n")
+        assert history[0] == "epoch,train_loss" and len(history) == 1 + TINY["epochs"]
 
     def test_dataset_index_is_pure_function_of_manifest(self):
-        m = ExperimentManifest(**TINY)
-        _, full = generate_dataset(m, indices=[7])
-        _, again = generate_dataset(m, indices=[7])
-        assert np.array_equal(full[0][2].values, again[0][2].values)
+        # instance 7 is a test instance of TINY and of the 2 + 7 split alike
+        _, tiny = generate_dataset(ExperimentManifest(**TINY))
+        _, split = generate_dataset(ExperimentManifest(**{**TINY, "n_train": 2,
+                                                          "n_test": 7}))
+        assert tiny[7][0] == split[7][0] == 7
+        assert np.array_equal(tiny[7][2].values, split[7][2].values)
+
+    def test_rejects_a_run_without_test_instances(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="n_test"):
+            run_experiment(ExperimentManifest(**{**TINY, "n_test": 0}), out)
+        assert not out.exists()
 
 
-def _assert_cli_error(argv, path, capsys):
-    """The CLI exits 1 with an `error:` line that names `path`."""
+def _assert_cli_error(argv, cause, capsys):
+    """The CLI exits 1 with an `error:` line that names `cause`, a path or a
+    setting."""
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and str(path) in err, err
+    assert "error:" in err and str(cause) in err, err
 
 
 class TestCli:
@@ -364,6 +377,24 @@ class TestCli:
         rc = main(["train", "--count", "0", "--out", str(tmp_path / "w.net")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_train_rejects_zero_channels(self, tmp_path, capsys):
+        out = tmp_path / "w.net"
+        _assert_cli_error(["train", "--base-channels", "0", "--out", str(out)],
+                          "base_channels", capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fbp", "ista", "tv"])
+    @pytest.mark.parametrize("factor", ["0", "-4"])
+    def test_rejects_subsample_below_one(self, tmp_path, capsys, command, factor):
+        geom = uniform_geometry(16, 6)
+        path = tmp_path / "s.sino"
+        formats.save_sinogram(Sinogram(geometry=geom, values=np.zeros(
+            (geom.n_views, geom.n_bins))), path)
+        out = tmp_path / "x.img"
+        _assert_cli_error([command, "--sino", str(path), "--out", str(out),
+                           "--subsample", factor], "subsampling factor", capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("record, discrete", [
         ("0 0 nan 0.2 0 1", True),

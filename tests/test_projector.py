@@ -51,21 +51,13 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Geometry((0.0,), 8, 0.01, 64, 0.03125)
 
-    def test_with_side_keeps_field_of_view(self):
-        geom = uniform_geometry(64, 10)
-        half = geom.with_side(32)
-        assert half.image_side == 32
-        assert half.pixel_spacing == 2 * geom.pixel_spacing
-        assert np.array_equal(half.angles, geom.angles)
-        assert (half.n_bins, half.det_spacing) == (geom.n_bins, geom.det_spacing)
-        assert geom.with_side(64) is geom
-
     def test_value_equality_and_hash(self):
         a, b = uniform_geometry(32, 10), uniform_geometry(32, 10)
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         assert a.with_angles(tuple(a.angles)) == a
-        for other in (uniform_geometry(32, 11), a.with_side(16),
+        for other in (uniform_geometry(32, 11),
+                      Geometry(a.angles, a.n_bins, a.det_spacing, 16, 2 * a.pixel_spacing),
                       a.with_angles(a.angles[:-1]),
                       Geometry(a.angles, a.n_bins + 2, a.det_spacing,
                                a.image_side, a.pixel_spacing)):
@@ -159,11 +151,11 @@ def _view_coefficients(theta, geom):
     return False, 1.0 / s, -c / s, geom.pixel_spacing / abs(s)
 
 
-def _crossings(theta, geom, side=None, bins=None):
+def _crossings(theta, geom, bins=None):
     """Unclipped crossing table (drive_rows, j0, frac, weight) of one view,
     j0/frac of shape (n_bins, side), optionally for a subset of bins
     (reference)."""
-    side = geom.image_side if side is None else side
+    side = geom.image_side
     dx = geom.pixel_spacing
     drive_rows, slope_s, slope_c, weight = _view_coefficients(theta, geom)
     half = (side - 1) / 2.0
@@ -194,13 +186,13 @@ def _masked_forward(img, geom):
     return out
 
 
-def _masked_backproject(values, geom, side=None, bins=None):
+def _masked_backproject(values, geom, bins=None):
     """Per-view transpose scatter with explicit range masks (reference)."""
-    side = geom.image_side if side is None else side
+    side = geom.image_side
     acc = np.zeros(side * side)
     rows = np.arange(side)
     for vi, theta in enumerate(geom.angles):
-        drive_rows, j0, frac, weight = _crossings(theta, geom, side, bins)
+        drive_rows, j0, frac, weight = _crossings(theta, geom, bins)
         vals = (values[vi] if bins is None else values[vi, bins])[:, None] * weight
         base = (rows[None, :] * side) if drive_rows else rows[None, :]
         stride = 1 if drive_rows else side
@@ -287,21 +279,16 @@ class TestKernelsMatchMaskedReference:
         got = forward(Image(x, geom.pixel_spacing), geom).values
         assert np.array_equal(got, _masked_forward(x, geom))
 
-    @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
-    def test_backproject_values(self, geom, ext):
-        side = None if ext is None else ext * geom.image_side + 1
+    def test_backproject_values(self, geom):
         y = Rng(13).normal((geom.n_views, geom.n_bins))
-        _assert_close_to_max(backproject_values(y, geom, side),
-                             _masked_backproject(y, geom, side))
+        _assert_close_to_max(backproject_values(y, geom), _masked_backproject(y, geom))
 
-    @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
-    def test_backproject_sparse_bins(self, geom, ext):
-        side = None if ext is None else ext * geom.image_side + 1
+    def test_backproject_sparse_bins(self, geom):
         bins = np.array([0, geom.n_bins // 2, geom.n_bins - 1])
         y = np.zeros((geom.n_views, geom.n_bins))
         y[:, bins] = Rng(14).normal((geom.n_views, 3))
-        _assert_close_to_max(backproject_values(y, geom, side),
-                             _masked_backproject(y, geom, side, bins))
+        _assert_close_to_max(backproject_values(y, geom),
+                             _masked_backproject(y, geom, bins))
 
     @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
     def test_pixel_driven_bit_identical(self, geom, ext):
@@ -335,8 +322,7 @@ class TestBlockedKernels:
 
         def blocks(n, width):
             return -(-n // max(1, projector._BLOCK_CELLS // width))
-        for n, width in ((geom.n_bins, 128), (128, geom.n_bins), (ext, geom.n_bins),
-                         (128, 128), (ext, ext)):
+        for n, width in ((geom.n_bins, 128), (128, geom.n_bins), (128, 128), (ext, ext)):
             assert blocks(n, width) >= 3, (n, width)
         return geom
 
@@ -359,14 +345,12 @@ class TestBlockedKernels:
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
-    @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
-    def test_backproject_values(self, geom, ext, monkeypatch):
-        side = None if ext is None else ext * geom.image_side + 1
+    def test_backproject_values(self, geom, monkeypatch):
         y = Rng(22).normal((geom.n_views, geom.n_bins))
-        got = backproject_values(y, geom, side)
-        _assert_close_to_max(got, _masked_backproject(y, geom, side))
+        got = backproject_values(y, geom)
+        _assert_close_to_max(got, _masked_backproject(y, geom))
         assert np.array_equal(got, self._whole_views(monkeypatch, backproject_values,
-                                                     y, geom, side))
+                                                     y, geom))
 
     @pytest.mark.parametrize("ext", [None, 2], ids=["own-grid", "extended"])
     def test_pixel_driven(self, geom, ext, monkeypatch):

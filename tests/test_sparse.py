@@ -75,7 +75,7 @@ class TestGradPairs:
 class TestLipschitz:
     def test_upper_bounds_spectral_norm(self):
         geom = uniform_geometry(32, 20)
-        L = estimate_lipschitz(geom, rng=Rng(0))
+        L = estimate_lipschitz(geom)
         mat = system_matrix(geom)
         # power iteration on H*H; it also bounds W*H*HW (W orthonormal)
         dense = (mat.T @ mat).toarray()
@@ -85,7 +85,7 @@ class TestLipschitz:
 
     def test_known_spectrum_operator(self):
         geom = uniform_geometry(32, 10)
-        L = estimate_lipschitz(geom, rng=Rng(1), op=lambda v: 4.0 * v)
+        L = estimate_lipschitz(geom, op=lambda v: 4.0 * v)
         assert abs(L - 4.2) < 1e-6          # 4 * 1.05
 
 
