@@ -126,8 +126,7 @@ def cmd_apply(args):
     params = formats.load_weights(args.weights)
     image = formats.load_image(args.image)
     # the network works in its training units; its output is mapped back
-    y = forward_net(params, (params.gain * image.values + params.offset)
-                    .astype(np.float32))
+    y = forward_net(params, params.net_input(image.values))
     out = Image(values=(np.asarray(y, dtype=np.float64) - params.offset) / params.gain,
                 pixel_spacing=image.pixel_spacing)
     _save_recon(out, args.out, args.pgm)

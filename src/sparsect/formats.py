@@ -1,5 +1,5 @@
 """Versioned on-disk formats: sinogram binary, raw image, PGM export,
-network weights, and the flat key=value experiment manifest.
+network weights, and deterministic CSV.
 
 All binary formats are little-endian.
 
@@ -173,26 +173,6 @@ def load_weights(path) -> NetworkParams:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: {name} has non-finite values")
     return NetworkParams(depth, base_channels, weights, gain, offset)
-
-
-def write_manifest(entries: dict, path):
-    with open(path, "w") as fh:
-        for key in entries:
-            fh.write(f"{key} = {entries[key]}\n")
-
-
-def read_manifest(path) -> dict:
-    entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad manifest line: {line!r}")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
-    return entries
 
 
 def write_csv(rows, header, path):

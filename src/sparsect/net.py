@@ -28,6 +28,10 @@ class NetworkParams:
     gain: float = 1.0
     offset: float = 0.0
 
+    def net_input(self, values):
+        """An image as the network sees it: gain * values + offset, float32."""
+        return (self.gain * values + self.offset).astype(np.float32)
+
     def copy(self):
         return NetworkParams(self.depth, self.base_channels,
                              {k: v.copy() for k, v in self.weights.items()},
@@ -161,11 +165,8 @@ def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None
     history = []
     checkpoint = params.copy()
     for epoch in range(schedule.epochs):
-        if schedule.epochs == 1:
-            lr = LR_START
-        else:
-            frac = epoch / (schedule.epochs - 1)
-            lr = LR_START * (LR_END / LR_START) ** frac
+        frac = epoch / max(schedule.epochs - 1, 1)
+        lr = LR_START * (LR_END / LR_START) ** frac
         order = _permutation(rng, len(dataset))
         losses = []
         for i in order:

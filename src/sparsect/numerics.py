@@ -129,11 +129,14 @@ def affine_fit(reference, candidate):
 
 def snr(reference, candidate) -> float:
     """Affine-calibrated SNR (dB): 20 log10 ||x|| / min_{a,b} ||x - a*xhat + b||,
-    capped at +300 dB for numerically exact matches."""
+    capped at +300 dB for numerically exact matches.  Both inputs must be
+    finite: a NaN would otherwise read as the cap."""
     ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
     cand = np.asarray(getattr(candidate, "values", candidate), dtype=np.float64)
     if ref.shape != cand.shape:
         raise ValueError("snr needs equal-shaped inputs")
+    if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(cand))):
+        raise ValueError("snr needs finite inputs")
     a, b = affine_fit(ref, cand)
     resid = np.linalg.norm(ref - a * cand + b)
     num = np.linalg.norm(ref)

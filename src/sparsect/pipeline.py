@@ -9,7 +9,7 @@ by golden-section search on log-lambda over training instances only.
 
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -87,52 +87,50 @@ class ExperimentManifest:
         if self.depth < 0 or self.image_side % (1 << self.depth):
             raise ValueError(f"depth ({self.depth}) must be at least 0 and 2**depth "
                              f"must divide image_side ({self.image_side})")
-        if not self.scale_hi > self.scale_lo:
-            raise ValueError(f"scale_hi ({self.scale_hi}) must exceed "
-                             f"scale_lo ({self.scale_lo})")
+        if not -np.inf < self.scale_lo < self.scale_hi < np.inf:
+            raise ValueError(f"scale_lo ({self.scale_lo}) and scale_hi "
+                             f"({self.scale_hi}) must be finite, scale_hi the larger")
         try:  # the solver's own rules, otherwise first met at the first TV solve
             _tv_config(self, 1.0 if self.tv_lambda <= 0 else self.tv_lambda)
         except ValueError as exc:
             raise ValueError(f"TV settings (tv_lambda, tv_rho, tv_iters, cg_iters, "
                              f"cg_tol): {exc}") from exc
         if self.tv_lambda <= 0 and not (  # lambda is tuned on training instances
-                self.tv_tune_count >= 1 and 0 < self.tv_lambda_lo < self.tv_lambda_hi):
+                self.tv_tune_count >= 1
+                and 0 < self.tv_lambda_lo < self.tv_lambda_hi < np.inf):
             raise ValueError(f"tuning needs tv_tune_count ({self.tv_tune_count}) >= 1 "
                              f"and 0 < tv_lambda_lo ({self.tv_lambda_lo}) < "
-                             f"tv_lambda_hi ({self.tv_lambda_hi})")
-
-    def to_entries(self):
-        d = asdict(self)
-        d["factors"] = ",".join(str(f) for f in self.factors)
-        return d
-
-    @classmethod
-    def from_entries(cls, entries):
-        kwargs = {}
-        defaults = cls()
-        for key, value in entries.items():
-            if not hasattr(defaults, key):
-                raise ValueError(f"unknown manifest key {key!r}")
-            cur = getattr(defaults, key)
-            if key == "factors":
-                kwargs[key] = tuple(int(v) for v in value.split(","))
-            elif isinstance(cur, int):
-                kwargs[key] = int(value)
-            elif isinstance(cur, float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+                             f"tv_lambda_hi ({self.tv_lambda_hi}) < inf")
 
     @classmethod
     def load(cls, path):
+        """The manifest in `path`: `key = value` lines, blank lines and `#`
+        comments skipped, each value typed as its field's default."""
+        types = {f.name: type(f.default) for f in fields(cls)}
+        kwargs = {}
         try:
-            return cls.from_entries(formats.read_manifest(path))
+            with open(path) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    key, eq, value = (part.strip() for part in line.partition("="))
+                    if not eq:
+                        raise ValueError(f"bad manifest line: {line!r}")
+                    if key not in types:
+                        raise ValueError(f"unknown manifest key {key!r}")
+                    kwargs[key] = (tuple(int(v) for v in value.split(","))
+                                   if types[key] is tuple else types[key](value))
+            return cls(**kwargs)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
     def save(self, path):
-        formats.write_manifest(self.to_entries(), path)
+        with open(path, "w") as fh:
+            for key, value in asdict(self).items():
+                if key == "factors":
+                    value = ",".join(str(f) for f in value)
+                fh.write(f"{key} = {value}\n")
 
 
 @dataclass
@@ -206,8 +204,7 @@ def train_cnn(manifest: ExperimentManifest, factor, train_data):
     """The residual CNN for one view-subsampling factor, trained on (sparse-view
     FBP, full-view FBP) pairs of `generate_dataset` rows, both passed through
     the affine map that sends the targets onto [scale_lo, scale_hi].  The params
-    keep that map: the network sees gain * image + offset.  Returns (params,
-    history)."""
+    keep that map as `net_input`.  Returns (params, history)."""
     geom = train_data[0][2].geometry
     input_filter = make_ramp(geom.n_bins, geom.det_spacing, manifest.input_apodization)
     fbps = [fbp_reconstruct(subsample_views(sino, factor), input_filter).values
@@ -216,13 +213,11 @@ def train_cnn(manifest: ExperimentManifest, factor, train_data):
     vmin = min(float(g.min()) for g in gts)
     vmax = max(float(g.max()) for g in gts)
     span = vmax - vmin if vmax > vmin else 1.0
-    gain = (manifest.scale_hi - manifest.scale_lo) / span
-    offset = manifest.scale_lo - gain * vmin
-    pairs = [((gain * f + offset).astype(np.float32),
-              (gain * g + offset).astype(np.float32)) for f, g in zip(fbps, gts)]
     params = init_params(manifest.depth, manifest.base_channels,
                          Rng(manifest.seed).split(10_000 + factor))
-    params.gain, params.offset = gain, offset
+    params.gain = (manifest.scale_hi - manifest.scale_lo) / span
+    params.offset = manifest.scale_lo - params.gain * vmin
+    pairs = [(params.net_input(f), params.net_input(g)) for f, g in zip(fbps, gts)]
     return train(params, pairs, TrainConfig(epochs=manifest.epochs),
                  Rng(manifest.seed).split(20_000 + factor))
 
@@ -241,6 +236,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
     table = ResultTable()
     input_filter = make_ramp(geom.n_bins, geom.det_spacing,
                              manifest.input_apodization)
+    gts_test = [gt.values for *_, gt in test_data]
 
     # diagnostics: rasterized phantoms and ground truths for the test set
     for i, ph, _, gt in test_data:
@@ -249,20 +245,28 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
         formats.save_pgm(rasterize(ph, manifest.image_side).values,
                          os.path.join(out_dir, f"raster_{i:04d}.pgm"))
 
+    def score(factor, method, reconstruct, inputs):
+        """Reconstruct every test input, timing only the reconstructions, then
+        score and preview the images and return them."""
+        t0 = time.perf_counter()
+        images = [reconstruct(x) for x in inputs]
+        seconds = (time.perf_counter() - t0) / len(inputs)
+        table.add(factor, method, [snr(gt, im) for gt, im in zip(gts_test, images)],
+                  seconds)
+        for i, im in zip(test_ids, images):
+            formats.save_pgm(im, os.path.join(out_dir, f"{method}_x{factor}_{i:04d}.pgm"))
+        return images
+
     for factor in manifest.factors:
         if factor == 1:
             # trivial self-comparison row: ground truth scored against itself
-            table.add(1, "fbp", [snr(gt, gt) for *_, gt in test_data], 0.0)
+            table.add(1, "fbp", [snr(gt, gt) for gt in gts_test], 0.0)
             continue
         subs_test = [subsample_views(s, factor) for _, _, s, _ in test_data]
-        gts_test = [gt for *_, gt in test_data]
 
         # sparse-view FBP (also the CNN input)
-        t0 = time.perf_counter()
-        fbps_test = [fbp_reconstruct(s, input_filter) for s in subs_test]
-        fbp_sec = (time.perf_counter() - t0) / max(len(subs_test), 1)
-        table.add(factor, "fbp", [snr(gt, im) for gt, im in zip(gts_test, fbps_test)],
-                  fbp_sec)
+        fbps_test = score(factor, "fbp",
+                          lambda s: fbp_reconstruct(s, input_filter).values, subs_test)
 
         # TV-ADMM, lambda tuned on training instances only
         lam = manifest.tv_lambda
@@ -271,31 +275,16 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ResultTable:
             lam = tune_tv_lambda(manifest,
                                  [subsample_views(s, factor) for _, _, s, _ in tune],
                                  [gt for *_, gt in tune], table)
-        t0 = time.perf_counter()
-        tvs = [tv_admm_reconstruct(s, _tv_config(manifest, lam)) for s in subs_test]
-        tv_sec = (time.perf_counter() - t0) / max(len(subs_test), 1)
-        table.add(factor, "tv", [snr(gt, im) for gt, im in zip(gts_test, tvs)],
-                  tv_sec)
+        config = _tv_config(manifest, lam)
+        score(factor, "tv", lambda s: tv_admm_reconstruct(s, config).values, subs_test)
 
         # residual CNN on (sparse FBP, full-view FBP) pairs
         params, history = train_cnn(manifest, factor, train_data)
         formats.write_csv(history, ["epoch", "train_loss"],
                           os.path.join(out_dir, f"history_x{factor}.csv"))
         formats.save_weights(params, os.path.join(out_dir, f"net_x{factor}.net"))
-        t0 = time.perf_counter()
-        cnn_values = [forward_net(params, (params.gain * f.values + params.offset)
-                                  .astype(np.float32))
-                      for f in fbps_test]
-        cnn_sec = (time.perf_counter() - t0) / max(len(subs_test), 1)
-        table.add(factor, "cnn", [snr(gt.values, v)
-                                  for gt, v in zip(gts_test, cnn_values)], cnn_sec)
-
-        for i, im in zip(test_ids, fbps_test):
-            formats.save_pgm(im.values, os.path.join(out_dir, f"fbp_x{factor}_{i:04d}.pgm"))
-        for i, im in zip(test_ids, tvs):
-            formats.save_pgm(im.values, os.path.join(out_dir, f"tv_x{factor}_{i:04d}.pgm"))
-        for i, v in zip(test_ids, cnn_values):
-            formats.save_pgm(v, os.path.join(out_dir, f"cnn_x{factor}_{i:04d}.pgm"))
+        score(factor, "cnn", lambda f: forward_net(params, params.net_input(f)),
+              fbps_test)
 
     # fairness audit: tuning used only training instances (ids < n_train)
     with open(os.path.join(out_dir, "run_log.txt"), "w") as fh:

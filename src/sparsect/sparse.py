@@ -46,7 +46,8 @@ class SolverConfig:
     levels: int = 3              # Haar decomposition depth
 
     def __post_init__(self):
-        if not (self.lam >= 0 and self.tol >= 0 and self.cg_tol >= 0 and self.rho > 0):
+        if not (0 <= self.lam < np.inf and self.tol >= 0 and self.cg_tol >= 0
+                and 0 < self.rho < np.inf):
             raise ValueError("invalid solver configuration")
         if self.max_iters < 1 or self.cg_iters < 1:
             raise ValueError("max_iters and cg_iters must be at least 1")

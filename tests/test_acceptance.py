@@ -198,8 +198,7 @@ def test_ac9_learning_efficacy():
     for _, _, sino, gt in data[200:]:
         fbp13 = fbp_reconstruct(subsample_views(sino, 7), in_filter).values
         fbp_snrs.append(snr(gt, fbp13))
-        cnn_snrs.append(snr(gt, forward_net(
-            params, (params.gain * fbp13 + params.offset).astype(np.float32))))
+        cnn_snrs.append(snr(gt, forward_net(params, params.net_input(fbp13))))
     margin = np.mean(cnn_snrs) - np.mean(fbp_snrs)
     assert margin >= 2.0
     assert elapsed < 1800.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsect.numerics import Rng, fft_1d, fft_2d, affine_fit
+from sparsect.numerics import Rng, fft_1d, fft_2d, affine_fit, snr
 
 
 class TestRng:
@@ -120,3 +120,23 @@ class TestAffineFit:
             affine_fit([1.0], [1.0])
         with pytest.raises(ValueError):
             affine_fit([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def _with(x, index, value):
+    y = x.copy()
+    y.flat[index] = value
+    return y
+
+
+class TestSnr:
+    # min(300, nan) is 300: without the check each case scores the cap
+    @pytest.mark.parametrize("case", ["all-nan", "candidate-nan", "reference-nan",
+                                      "candidate-inf"])
+    def test_rejects_non_finite_inputs(self, case):
+        x = Rng(9).normal((8, 8))
+        ref, cand = {"all-nan": (x, np.full_like(x, np.nan)),
+                     "candidate-nan": (x, _with(x, 5, np.nan)),
+                     "reference-nan": (_with(x, 5, np.nan), x),
+                     "candidate-inf": (x, _with(x, 5, np.inf))}[case]
+        with pytest.raises(ValueError, match="snr needs finite inputs"):
+            snr(ref, cand)

@@ -69,8 +69,15 @@ class TestManifest:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
-        path.write_text("bogus_key = 1\n")
-        with pytest.raises(ValueError):
+        for key in ("bogus_key", "save"):  # a method is not a setting either
+            path.write_text(f"{key} = 1\n")
+            with pytest.raises(ValueError, match=f"unknown manifest key '{key}'"):
+                ExperimentManifest.load(path)
+
+    def test_bad_value_names_the_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("epochs = three\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             ExperimentManifest.load(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -87,7 +94,9 @@ class TestManifest:
         dict(tv_tune_count=0), dict(tv_lambda_lo=0.0), dict(tv_lambda_lo=0.05),
         dict(tv_lambda_lo=3e-2, tv_lambda_hi=3e-2), dict(input_apodization="bogus"),
         dict(gt_apodization="hamming"), dict(n_test=-3), dict(image_side=8),
-        dict(base_channels=0)])
+        dict(base_channels=0), dict(scale_hi=float("inf")),
+        dict(scale_lo=float("-inf")), dict(tv_lambda_hi=float("inf")),
+        dict(tv_rho=float("inf")), dict(tv_lambda=float("inf"))])
     def test_rejects_runs_that_would_fail_late(self, fields):
         with pytest.raises(ValueError):
             ExperimentManifest(**fields)
@@ -221,8 +230,8 @@ class TestFormats:
     def test_manifest_bad_line(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("no equals sign here\n")
-        with pytest.raises(ValueError):
-            formats.read_manifest(path)
+        with pytest.raises(ValueError, match="bad manifest line"):
+            ExperimentManifest.load(path)
 
 
 TINY = dict(seed=3, image_side=32, n_views=30, factors=(1, 5), n_train=6,
@@ -248,6 +257,10 @@ class TestRunExperiment:
         assert len(rows) == 1 + 3 + 3 * 3   # header + factor1 + 3 methods x 3
         history = (tmp_path / "history_x5.csv").read_text().strip().split("\n")
         assert history[0] == "epoch,train_loss" and len(history) == 1 + TINY["epochs"]
+        # one preview per method and test instance at factor 5, none at factor 1
+        test_ids = range(TINY["n_train"], TINY["n_train"] + TINY["n_test"])
+        assert sorted(p.name for p in tmp_path.glob("*_x*_*.pgm")) == sorted(
+            f"{m}_x5_{i:04d}.pgm" for m in ("fbp", "tv", "cnn") for i in test_ids)
 
     def test_dataset_index_is_pure_function_of_manifest(self):
         # instance 7 is a test instance of TINY and of the 2 + 7 split alike

@@ -203,6 +203,10 @@ class TestTvAdmm:
         with pytest.raises(ValueError):
             SolverConfig(rho=float("nan"))
         with pytest.raises(ValueError):
+            SolverConfig(rho=float("inf"))
+        with pytest.raises(ValueError):
+            SolverConfig(lam=float("inf"))
+        with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(cg_iters=0)
