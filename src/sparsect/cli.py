@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -164,19 +165,23 @@ def cmd_bench(args):
     rng = Rng(args.seed)
     image = Image(values=rng.normal((args.side, args.side)),
                   pixel_spacing=geom.pixel_spacing)
-    t0 = time.perf_counter()
-    sino = forward(image, geom)
-    t_fwd = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    adjoint(sino)
-    t_adj = time.perf_counter() - t0
     filt = make_ramp(geom.n_bins, geom.det_spacing)
-    t0 = time.perf_counter()
-    fbp_reconstruct(sino, filt)
-    t_fbp = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    deconvolution_form(sino)
-    t_deconv = time.perf_counter() - t0
+    layers = {"forward": lambda: forward(image, geom), "adjoint": lambda: adjoint(sino),
+              "fbp": lambda: fbp_reconstruct(sino, filt),
+              "deconv": lambda: deconvolution_form(sino)}
+    report = []
+    for name, fn in layers.items():
+        t0 = time.perf_counter()
+        out = fn()
+        report.append(f"{name} {time.perf_counter() - t0:.4f}s")
+        tracemalloc.start()  # peak allocation (MB of 2**20 bytes) of an untimed call
+        try:
+            fn()
+            report[-1] += f" {tracemalloc.get_traced_memory()[1] / 2**20:.1f}MB"
+        finally:
+            tracemalloc.stop()
+        if name == "forward":
+            sino = out
     # one batch-1 SGD step of the pipeline's default network (depth 3, 16 channels)
     if args.side % 8:
         sgd = f"sgd_step skipped (side {args.side} not divisible by 8)"
@@ -189,9 +194,7 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         train(params, pair, schedule, rng)
         sgd = f"sgd_step {time.perf_counter() - t0:.4f}s"
-    print(f"forward {t_fwd:.4f}s  adjoint {t_adj:.4f}s  fbp {t_fbp:.4f}s  "
-          f"deconv {t_deconv:.4f}s  {sgd} "
-          f"({args.side}^2, {args.n_views} views)")
+    print(f"{'  '.join(report)}  {sgd} ({args.side}^2, {args.n_views} views)")
 
 
 def _add_geom_args(p):

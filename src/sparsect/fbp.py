@@ -4,7 +4,8 @@ deconvolution variant, and uniform view subsampling.
 The ramp is built in the spatial domain (band-limited Ram-Lak taps) and
 applied in the frequency domain after zero-padding to at least twice the next
 power of two, which avoids both circular wrap-around and the classic DC-bias
-error of sampling |freq| directly.
+error of sampling |freq| directly.  Memory stays bounded: views are filtered
+in blocks, and the deconvolution form filters a real-FFT half spectrum.
 """
 
 from dataclasses import dataclass
@@ -59,13 +60,6 @@ def make_ramp(n_bins: int, det_spacing: float, apodization="none") -> RampFilter
     return RampFilter(taps=taps, det_spacing=det_spacing, apodization=apodization)
 
 
-def _next_pow2(n):
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
 def _apod_window(freq_ratio, apodization):
     """Taper as a function of |f|/f_nyquist in [0, 1]."""
     r = np.clip(np.abs(freq_ratio), 0.0, 1.0)
@@ -82,21 +76,26 @@ def filter_views(values: np.ndarray, filt: RampFilter) -> np.ndarray:
     """Convolve every sinogram row with the ramp (linear, via padded FFT).
 
     The result is scaled by det_spacing so it approximates the continuous
-    convolution integral.
+    convolution integral.  Views go through one reused buffer in blocks of at
+    most 2**16 padded cells (or one view); rows transform alone, bit-exactly.
     """
     n_views, n_bins = values.shape
     half = len(filt.taps) // 2
-    size = _next_pow2(max(2 * n_bins, n_bins + half + 1))
+    size = 1 << (max(2 * n_bins, n_bins + half + 1) - 1).bit_length()  # next power of two
     kernel = np.zeros(size)
     kernel[: half + 1] = filt.taps[half:]
     kernel[size - half:] = filt.taps[:half]
     resp = fft_1d(kernel).real  # symmetric taps: zero-phase, real response
     f_ratio = np.fft.fftfreq(size) * 2.0  # |f|/f_nyq on the FFT grid
     resp = resp * _apod_window(f_ratio, filt.apodization)
-    padded = np.zeros((n_views, size))
-    padded[:, :n_bins] = values
-    filtered = fft_1d(fft_1d(padded) * resp, inverse=True).real[:, :n_bins]
-    return filtered * filt.det_spacing
+    step = max(1, (1 << 16) // size)
+    padded = np.zeros((min(step, n_views), size))
+    filtered = np.empty((n_views, n_bins))
+    for v0 in range(0, n_views, step):
+        block = padded[:len(values[v0:v0 + step])]
+        block[:, :n_bins] = values[v0:v0 + step]
+        filtered[v0:v0 + step] = fft_1d(fft_1d(block) * resp, inverse=True).real[:, :n_bins]
+    return np.multiply(filtered, filt.det_spacing, out=filtered)
 
 
 def _backprojection_scale(geom: Geometry) -> float:
@@ -120,7 +119,10 @@ def fbp_reconstruct(sinogram: Sinogram, filt: RampFilter = None) -> Image:
 
 
 def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
-    """Image-domain FBP: back project first, then apply the 2-D ||f|| filter."""
+    """Image-domain FBP: back project first, then apply the 2-D ||f|| filter.
+    The filter is circular, so the back projection goes in at the origin of
+    the padded grid (only the crop moves), and memory stays near one real-FFT
+    half spectrum, on which the ramp and the product are formed in place."""
     geom = sinogram.geometry
     side = geom.image_side
     # back project onto a 2x-extended grid: measurements are truly zero beyond
@@ -128,19 +130,20 @@ def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
     # exact there, which keeps the 2-D ramp's long kernel from seeing a
     # truncation edge near the reconstruction region
     ext = 2 * side
-    bp = backproject_pixel_driven(sinogram.values, geom, side=ext)
-    bp *= np.pi / geom.n_views
-    size = _next_pow2(2 * ext)
-    padded = np.zeros((size, size))
-    lo = (size - ext) // 2
-    padded[lo:lo + ext, lo:lo + ext] = bp
-    f = np.fft.fftfreq(size, d=geom.pixel_spacing)
-    fr = np.sqrt(f[:, None] ** 2 + f[None, :] ** 2)
+    size = 1 << (2 * ext - 1).bit_length()   # the power of two in [2 * ext, 4 * ext)
     f_nyq = 0.5 / geom.pixel_spacing
-    resp = fr * _apod_window(fr / f_nyq, apodization) * (fr <= f_nyq)
-    out = fft_2d(fft_2d(padded) * resp, inverse=True).real
-    crop = lo + (ext - side) // 2
-    return Image(values=out[crop:crop + side, crop:crop + side],
+    resp = np.add.outer(np.fft.fftfreq(size, d=geom.pixel_spacing) ** 2,
+                        np.fft.rfftfreq(size, d=geom.pixel_spacing) ** 2)
+    np.sqrt(resp, out=resp)
+    resp[resp > f_nyq] = 0.0
+    resp *= _apod_window(resp / f_nyq, apodization)
+    bp = backproject_pixel_driven(sinogram.values, geom, side=ext)
+    spec = fft_2d(bp * (np.pi / geom.n_views), real=True, shape=(size, size))
+    spec *= resp
+    del bp, resp
+    out = fft_2d(spec, inverse=True, real=True, shape=(size, size))
+    crop = (ext - side) // 2
+    return Image(values=out[crop:crop + side, crop:crop + side].copy(),
                  pixel_spacing=geom.pixel_spacing)
 
 

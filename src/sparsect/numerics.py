@@ -102,8 +102,13 @@ def fft_1d(x, inverse=False):
     return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
-def fft_2d(x, inverse=False):
-    """2-D DFT over the last two axes, normalized as `fft_1d`."""
+def fft_2d(x, inverse=False, real=False, shape=None):
+    """2-D DFT over the last two axes, normalized as `fft_1d`.  With `real`,
+    `rfft2`/`irfft2`: real `x`, zero-padded to `shape` (default: its own), to
+    the half spectrum of `shape[1] // 2 + 1` columns, and back to the real
+    array of `shape`; equal to the complex pair's real part up to rounding."""
+    if real:
+        return np.fft.irfft2(x, s=shape) if inverse else np.fft.rfft2(x, s=shape)
     return np.fft.ifft2(x) if inverse else np.fft.fft2(x)
 
 

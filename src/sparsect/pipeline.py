@@ -87,9 +87,10 @@ class ExperimentManifest:
         if self.depth < 0 or self.image_side % (1 << self.depth):
             raise ValueError(f"depth ({self.depth}) must be at least 0 and 2**depth "
                              f"must divide image_side ({self.image_side})")
-        if not -np.inf < self.scale_lo < self.scale_hi < np.inf:
-            raise ValueError(f"scale_lo ({self.scale_lo}) and scale_hi "
-                             f"({self.scale_hi}) must be finite, scale_hi the larger")
+        big = float(np.finfo(np.float32).max)  # the network trains in float32
+        if not -big <= self.scale_lo < self.scale_hi <= big:
+            raise ValueError(f"scale_lo ({self.scale_lo}) and scale_hi ({self.scale_hi}) "
+                             f"must lie within float32's ±{big:.4g}, scale_hi the larger")
         try:  # the solver's own rules, otherwise first met at the first TV solve
             _tv_config(self, 1.0 if self.tv_lambda <= 0 else self.tv_lambda)
         except ValueError as exc:
@@ -218,6 +219,9 @@ def train_cnn(manifest: ExperimentManifest, factor, train_data):
     params.gain = (manifest.scale_hi - manifest.scale_lo) / span
     params.offset = manifest.scale_lo - params.gain * vmin
     pairs = [(params.net_input(f), params.net_input(g)) for f, g in zip(fbps, gts)]
+    if not all(np.isfinite(p).all() for pair in pairs for p in pair):
+        raise ValueError(f"scale_lo ({manifest.scale_lo}) and scale_hi ({manifest.scale_hi}) "
+                         f"map the training images beyond float32")
     return train(params, pairs, TrainConfig(epochs=manifest.epochs),
                  Rng(manifest.seed).split(20_000 + factor))
 

@@ -1,12 +1,61 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sparsect.numerics import Rng
-from sparsect.projector import uniform_geometry, Sinogram
+from sparsect.projector import uniform_geometry, Sinogram, backproject_pixel_driven
 from sparsect.phantom import Ellipse, Phantom, rasterize, analytic_sinogram
-from sparsect.fbp import (RampFilter, ramp_tap, make_ramp, filter_views,
-                          fbp_reconstruct, deconvolution_form, subsample_views)
+from sparsect.fbp import (APODIZATIONS, RampFilter, ramp_tap, make_ramp, filter_views,
+                          fbp_reconstruct, deconvolution_form, subsample_views,
+                          _apod_window)
 from sparsect.pipeline import snr
+
+
+def _filter_views_one_block(values, filt):
+    """Reference: every view's padded row in one complex transform pair."""
+    n_views, n_bins = values.shape
+    half = len(filt.taps) // 2
+    size = 1 << (max(2 * n_bins, n_bins + half + 1) - 1).bit_length()
+    kernel = np.zeros(size)
+    kernel[: half + 1] = filt.taps[half:]
+    kernel[size - half:] = filt.taps[:half]
+    resp = np.fft.fft(kernel).real * _apod_window(np.fft.fftfreq(size) * 2.0,
+                                                  filt.apodization)
+    padded = np.zeros((n_views, size))
+    padded[:, :n_bins] = values
+    return np.fft.ifft(np.fft.fft(padded) * resp).real[:, :n_bins] * filt.det_spacing
+
+
+def _deconvolution_full_grid(sino, apodization):
+    """Reference: the 2-D filter as one complex transform pair on the full
+    grid, with the back projection centred in it."""
+    geom = sino.geometry
+    side = geom.image_side
+    ext = 2 * side
+    bp = backproject_pixel_driven(sino.values, geom, side=ext) * (np.pi / geom.n_views)
+    size = 1 << (2 * ext - 1).bit_length()
+    padded = np.zeros((size, size))
+    lo = (size - ext) // 2
+    padded[lo:lo + ext, lo:lo + ext] = bp
+    f = np.fft.fftfreq(size, d=geom.pixel_spacing)
+    fr = np.sqrt(f[:, None] ** 2 + f[None, :] ** 2)
+    f_nyq = 0.5 / geom.pixel_spacing
+    resp = fr * _apod_window(fr / f_nyq, apodization) * (fr <= f_nyq)
+    out = np.fft.ifft2(np.fft.fft2(padded) * resp).real
+    crop = lo + (ext - side) // 2
+    return out[crop:crop + side, crop:crop + side]
+
+
+def _peak_mib(fn):
+    """Peak traced allocation of one call, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 class TestRampFilter:
@@ -60,6 +109,17 @@ class TestFilterViews:
             start = len(filt.taps) // 2
             assert np.allclose(out[v], full[start:start + 41], atol=1e-10)
 
+    # 91 bins pad to 256 (256 views a block), 300 bins to 1024 (64 views a
+    # block); 361 views leave a partial last block in both
+    @pytest.mark.parametrize("n_bins", [91, 300])
+    @pytest.mark.parametrize("n_views", [1, 5, 13, 90, 361])
+    @pytest.mark.parametrize("apodization", APODIZATIONS)
+    def test_blocks_equal_one_block_bit_for_bit(self, n_bins, n_views, apodization):
+        values = Rng(n_views).normal((n_views, n_bins))
+        filt = make_ramp(n_bins, 0.03, apodization)
+        assert np.array_equal(filter_views(values, filt),
+                              _filter_views_one_block(values, filt))
+
     def test_hann_tapers_nyquist(self):
         values = np.cos(np.pi * np.arange(64))[None, :]  # pure Nyquist tone
         ramp = make_ramp(64 + 1, 0.1, "none")
@@ -98,6 +158,26 @@ class TestDeconvolutionForm:
         c = slice(16, 48)  # central region, away from the FOV boundary
         rel = np.linalg.norm(a[c, c] - b[c, c]) / np.linalg.norm(a[c, c])
         assert rel < 0.05
+
+    @pytest.mark.parametrize("side", [32, 33])   # 33: odd side and odd crop
+    @pytest.mark.parametrize("apodization", APODIZATIONS)
+    def test_real_transform_matches_full_grid_complex_one(self, side, apodization):
+        ph = Phantom([Ellipse(0.1, -0.05, 0.4, 0.3, 0.4, 1.0),
+                      Ellipse(-0.2, 0.15, 0.2, 0.15, 1.2, -0.5)])
+        sino = analytic_sinogram(ph, uniform_geometry(side, 30))
+        ref = _deconvolution_full_grid(sino, apodization)
+        out = deconvolution_form(sino, apodization).values
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_direct_inversions_bound_their_memory():
+    # 18.5 and 7.2 MiB with one complex transform of the whole 512^2 grid
+    # and of the whole (180, 1024) padded sinogram
+    sino = analytic_sinogram(Phantom([Ellipse(0.0, 0.0, 0.5, 0.4, 0.3, 1.0)]),
+                             uniform_geometry(128, 180))
+    assert _peak_mib(lambda: deconvolution_form(sino)) <= 10.0
+    assert _peak_mib(lambda: fbp_reconstruct(sino)) <= 4.0
 
 
 class TestSubsampleViews:

@@ -88,6 +88,17 @@ class TestFft:
             assert np.allclose(fft_2d(x), np.fft.fft2(x), atol=1e-10)
             assert np.allclose(fft_2d(fft_2d(x), inverse=True).real, x, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16, 16), (12, 7), (9, 10)])
+    def test_fft_2d_real_mode_is_the_zero_padded_half_spectrum(self, shape):
+        x = Rng(6).normal((5, 4))
+        padded = np.zeros(shape)
+        padded[:5, :4] = x
+        half = fft_2d(x, real=True, shape=shape)
+        assert half.shape == (shape[0], shape[1] // 2 + 1)
+        assert np.allclose(half, fft_2d(padded)[:, :shape[1] // 2 + 1], atol=1e-12)
+        back = fft_2d(half, inverse=True, real=True, shape=shape)
+        assert back.shape == shape and np.allclose(back, padded, atol=1e-12)
+
 
 class TestAffineFit:
     def test_exact_affine_recovery(self):

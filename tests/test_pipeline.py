@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sparsect import formats
+from sparsect import formats, pipeline
 from sparsect.numerics import Rng
 from sparsect.projector import uniform_geometry, Image, Sinogram
 from sparsect.pipeline import (ExperimentManifest, run_experiment, snr,
                                golden_section, SNR_CAP_DB, generate_dataset,
-                               _tv_config)
+                               _tv_config, train_cnn)
 from sparsect.cli import main
 from sparsect.net import init_params
 from sparsect.fbp import subsample_views
@@ -96,7 +96,8 @@ class TestManifest:
         dict(gt_apodization="hamming"), dict(n_test=-3), dict(image_side=8),
         dict(base_channels=0), dict(scale_hi=float("inf")),
         dict(scale_lo=float("-inf")), dict(tv_lambda_hi=float("inf")),
-        dict(tv_rho=float("inf")), dict(tv_lambda=float("inf"))])
+        dict(tv_rho=float("inf")), dict(tv_lambda=float("inf")), dict(scale_hi=1e300),
+        dict(scale_lo=-1e300)])
     def test_rejects_runs_that_would_fail_late(self, fields):
         with pytest.raises(ValueError):
             ExperimentManifest(**fields)
@@ -270,6 +271,17 @@ class TestRunExperiment:
         assert tiny[7][0] == split[7][0] == 7
         assert np.array_equal(tiny[7][2].values, split[7][2].values)
 
+    def test_training_pairs_beyond_float32_rejected_before_training(self, monkeypatch):
+        # the widest range the manifest allows still overflows float32 for
+        # FBP inputs that overshoot the targets' range
+        big = float(np.finfo(np.float32).max)
+        manifest = ExperimentManifest(**{**TINY, "n_train": 2, "n_test": 0,
+                                         "scale_lo": -big, "scale_hi": big})
+        _, data = generate_dataset(manifest)
+        monkeypatch.setattr(pipeline, "train", lambda *a: pytest.fail("trained"))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="scale_lo.*scale_hi"):
+            train_cnn(manifest, 5, data)
+
     def test_rejects_a_run_without_test_instances(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="n_test"):
@@ -442,8 +454,9 @@ class TestCli:
     def test_bench_command(self, capsys):
         assert main(["bench", "--side", "16", "--n-views", "8"]) == 0
         out = capsys.readouterr().out
-        for name in ("forward", "adjoint", "fbp", "deconv", "sgd_step"):
-            assert re.search(rf"\b{name} \d+\.\d+s", out), out
+        for name in ("forward", "adjoint", "fbp", "deconv"):
+            assert re.search(rf"\b{name} \d+\.\d+s \d+\.\dMB", out), out
+        assert re.search(r"\bsgd_step \d+\.\d+s", out), out
         assert "(16^2, 8 views)" in out
 
     def test_bench_skips_sgd_step_on_odd_side(self, capsys):
