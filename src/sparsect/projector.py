@@ -19,6 +19,8 @@ adjoint takes slabs of lines (a cell's bins share one `bincount`), and
 `backproject_pixel_driven` loops over views in blocks of rows.  `H*H` at
 256²/360 takes about 1.0 s on one core (1.6 s unblocked).  `normal_operator`
 uses the CSR matrix for side <= 128 and `forward`/`adjoint` above that.
+`geometry_memo`, the one per-geometry cache, keeps that matrix and what the
+solvers derive from one geometry alone, for one geometry at a time.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ import numpy as np
 from .numerics import fft_2d
 
 __all__ = ["Geometry", "Image", "Sinogram", "uniform_geometry", "forward",
-           "adjoint", "backproject_values", "normal_operator",
+           "adjoint", "backproject_values", "normal_operator", "geometry_memo",
            "certify_normal_convolution", "CertReport"]
 
 
@@ -310,18 +312,45 @@ def system_matrix(geom: Geometry):
     return mat.tocsr()
 
 
+_memo = {}  # the one cached geometry ("geometry") and what was built for it
+
+
+def geometry_memo(geometry: Geometry, key, build):
+    """`build()` the first time `key` is asked for with `geometry`, the stored
+    value after that.  One geometry is held at a time: asking with another
+    drops the whole old entry before anything is built for the new one, so
+    memory stays at one geometry's worth.  Builders return read-only arrays,
+    since every caller shares them."""
+    if _memo.get("geometry") != geometry:
+        _memo.clear()
+        _memo["geometry"] = geometry
+    if key not in _memo:
+        _memo[key] = build()
+    return _memo[key]
+
+
+def _csr_pair(geometry):
+    """The read-only CSR matrix of `forward` and its transpose."""
+    mat = system_matrix(geometry)
+    pair = (mat, mat.T.tocsr())
+    for m in pair:
+        for a in (m.data, m.indices, m.indptr):
+            a.setflags(write=False)
+    return pair
+
+
 def normal_operator(geometry: Geometry):
     """Callable applying H*H to a (side, side) value array: through the CSR
-    system matrix and its stored transpose for side <= 128, matrix-free with
-    `forward` and `adjoint` above that (the matrix grows as side cubed)."""
+    system matrix and its stored transpose for side <= 128, built once per
+    geometry (`geometry_memo`), and matrix-free with `forward` and `adjoint`
+    above that (the matrix grows as side cubed)."""
     side = geometry.image_side
     if side > 128:
         def apply(values):
             img = Image(values=values, pixel_spacing=geometry.pixel_spacing)
             return adjoint(forward(img, geometry)).values
         return apply
-    mat = system_matrix(geometry)
-    mat_t = mat.T.tocsr()
+    mat, mat_t = geometry_memo(geometry, "csr", lambda: _csr_pair(geometry))
 
     def apply(values):
         return (mat_t @ (mat @ values.ravel())).reshape(side, side)

@@ -10,7 +10,13 @@ Two solvers over the shared projector pair:
   with the splitting z = Dx; the x-update runs preconditioned CG on
   (H*H + rho D*D), with a Fourier-domain preconditioner built from the
   measured impulse response of H*H (valid because the normal operator is
-  numerically a convolution).
+  numerically a convolution).  Each CG starts from the residual the previous
+  x-update left, so an x-update costs no extra H*H.
+
+What depends on the geometry alone, the normal operator, the spectrum of its
+impulse response and ISTA's step bound, is built once per geometry and kept
+by `projector.geometry_memo`; a solve recomputes only the per-rho
+denominator of its preconditioner.
 
 An objective costs one extra `forward` per iteration, so it is computed only
 where it is read: by ISTA's divergence guard and for `history` lists.
@@ -22,7 +28,7 @@ import numpy as np
 
 from .numerics import Rng, fft_2d
 from .projector import (Geometry, Image, Sinogram, forward, adjoint,
-                        normal_operator)
+                        normal_operator, geometry_memo)
 
 __all__ = ["SolverConfig", "SolverError", "soft_threshold",
            "wavelet_analysis", "wavelet_synthesis", "estimate_lipschitz",
@@ -172,7 +178,7 @@ def ista_reconstruct(sinogram: Sinogram, config: SolverConfig,
     nop = normal_operator(geom)
     L = config.step_inverse
     if L is None:
-        L = estimate_lipschitz(geom, op=nop)
+        L = geometry_memo(geom, "lipschitz", lambda: estimate_lipschitz(geom, op=nop))
     if L <= 0:
         raise SolverError("step_inverse must be positive")
     levels = config.levels
@@ -229,49 +235,57 @@ def _tv_prox(gx, gy, theta):
     return gx * scale, gy * scale
 
 
-def _fourier_preconditioner(nop, side: int, rho: float):
-    """Inverse spectrum of (H*H + rho D*D) assuming both act as convolutions.
-
-    The H*H part is the impulse response of the normal operator `nop` at the
-    grid center (the certified convolution kernel); the D*D part is the
-    periodic Laplacian spectrum.
-    """
+def _impulse_spectrum(nop, side: int):
+    """Read-only |rfft2| of the impulse response of `nop` at the grid center,
+    moved to the origin: the half spectrum of the certified H*H kernel."""
     delta = np.zeros((side, side))
     delta[side // 2, side // 2] = 1.0
-    spec_h = np.abs(fft_2d(np.fft.ifftshift(nop(delta))))
-    w = 2.0 * np.pi * np.fft.fftfreq(side)
-    lap = (2.0 - 2.0 * np.cos(w))[:, None] + (2.0 - 2.0 * np.cos(w))[None, :]
-    denom = spec_h + rho * lap
+    spec = np.abs(fft_2d(np.fft.ifftshift(nop(delta)), real=True))
+    spec.setflags(write=False)
+    return spec
+
+
+def _fourier_preconditioner(spec_h, rho: float):
+    """Inverse spectrum of (H*H + rho D*D) assuming both act as convolutions,
+    on the real-FFT half spectrum.  `spec_h` is `_impulse_spectrum`; the D*D
+    part is the periodic Laplacian spectrum."""
+    side = spec_h.shape[0]
+    lap_r = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(side))
+    lap_c = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(side))
+    denom = spec_h + rho * (lap_r[:, None] + lap_c[None, :])
     denom = np.maximum(denom, 1e-8 * denom.max())
     inv = 1.0 / denom
+    shape = (side, side)
 
     def apply(v):
-        return fft_2d(fft_2d(v) * inv, inverse=True).real
+        return fft_2d(fft_2d(v, real=True) * inv, inverse=True, real=True, shape=shape)
     return apply
 
 
-def _pcg(apply_a, b, x0, precond, iters, tol):
-    """Preconditioned conjugate gradient; returns (x, final relative residual)."""
-    x = x0.copy()
-    r = b - apply_a(x)
-    z = precond(r)
-    p = z.copy()
-    rz = np.sum(r * z)
+def _pcg(apply_a, b, x0, precond, iters, tol, r0=None):
+    """Preconditioned conjugate gradient from x0; returns (x, final relative
+    residual, residual r).  `r0`, when given, is b - A x0 (one A-apply less);
+    the returned r is the recursively updated b - A x, fit to be carried."""
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
-        return np.zeros_like(b), 0.0
+        return np.zeros_like(b), 0.0, np.zeros_like(b)
+    x = x0.copy()
+    r = b - apply_a(x) if r0 is None else r0
+    z = precond(r)
+    p = z.copy()
+    rz = np.vdot(r, z)
     for _ in range(iters):
         ap = apply_a(p)
-        alpha = rz / max(np.sum(p * ap), 1e-300)
+        alpha = rz / max(np.vdot(p, ap), 1e-300)
         x += alpha * p
         r -= alpha * ap
         if np.linalg.norm(r) <= tol * bnorm:
             break
         z = precond(r)
-        rz_new = np.sum(r * z)
+        rz_new = np.vdot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, float(np.linalg.norm(r) / bnorm)
+    return x, float(np.linalg.norm(r) / bnorm), r
 
 
 def tv_admm_reconstruct(sinogram: Sinogram, config: SolverConfig,
@@ -286,27 +300,40 @@ def tv_admm_reconstruct(sinogram: Sinogram, config: SolverConfig,
     hty = adjoint(sinogram).values
     nop = normal_operator(geom)
     rho = config.rho
-    precond = _fourier_preconditioner(nop, geom.image_side,
-                                      0.0 if config.lam == 0 else rho)
+    spec_h = geometry_memo(geom, "hh_spectrum",
+                           lambda: _impulse_spectrum(nop, geom.image_side))
+    precond = _fourier_preconditioner(spec_h, 0.0 if config.lam == 0 else rho)
 
     if config.lam == 0:
-        x, resid = _pcg(nop, hty, np.zeros_like(hty), precond,
-                        config.cg_iters * 10, config.cg_tol)
+        x, resid, _ = _pcg(nop, hty, np.zeros_like(hty), precond,
+                           config.cg_iters * 10, config.cg_tol)
         if resid > config.cg_tol:
             raise SolverError(f"CG failed to converge: relative residual {resid:.3e}")
         return Image(values=x, pixel_spacing=geom.pixel_spacing)
 
     def apply_a(v):
-        ax, ay = grad_pairs(v)
-        return nop(v) + rho * grad_pairs_adjoint(ax, ay)
+        """H*H v + rho D*D v, D*D summed as grad_pairs_adjoint(grad_pairs(v))."""
+        dd = np.zeros_like(v)
+        d = v[:, 1:] - v[:, :-1]
+        dd[:, :-1] -= d
+        dd[:, 1:] += d
+        d = v[1:, :] - v[:-1, :]
+        dd[:-1, :] -= d
+        dd[1:, :] += d
+        dd *= rho
+        dd += nop(v)
+        return dd
 
     x = np.zeros_like(hty)
+    ax = np.zeros_like(hty)    # A x, as the last CG's residual implies it
     zx, zy = grad_pairs(x)
     ux = np.zeros_like(zx)
     uy = np.zeros_like(zy)
     for k in range(config.max_iters):
         rhs = hty + rho * grad_pairs_adjoint(zx - ux, zy - uy)
-        x, resid = _pcg(apply_a, rhs, x, precond, config.cg_iters, config.cg_tol)
+        x, resid, r = _pcg(apply_a, rhs, x, precond, config.cg_iters, config.cg_tol,
+                           r0=rhs - ax)
+        ax = rhs - r
         gx, gy = grad_pairs(x)
         zx_old, zy_old = zx, zy
         zx, zy = _tv_prox(gx + ux, gy + uy, config.lam / rho)

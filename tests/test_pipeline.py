@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sparsect import formats, pipeline
+from sparsect import formats, pipeline, projector
 from sparsect.numerics import Rng
 from sparsect.projector import uniform_geometry, Image, Sinogram
 from sparsect.pipeline import (ExperimentManifest, run_experiment, snr,
@@ -241,6 +241,14 @@ TINY = dict(seed=3, image_side=32, n_views=30, factors=(1, 5), n_train=6,
 
 
 class TestRunExperiment:
+    def test_warm_geometry_cache_run_byte_identical(self, tmp_path):
+        projector._memo.clear()
+        run_experiment(ExperimentManifest(**TINY), tmp_path / "cold")
+        assert projector._memo["geometry"].n_views == 6   # factor 5's 30 / 5 views
+        run_experiment(ExperimentManifest(**TINY), tmp_path / "warm")
+        for name in ("results.csv", "results_mean.csv"):
+            assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
     def test_outputs_and_sanity(self, tmp_path):
         table = run_experiment(ExperimentManifest(**TINY), tmp_path)
         for name in ("results.csv", "results_mean.csv", "timings.csv",
@@ -490,6 +498,7 @@ class TestCli:
         assert main(["gen-data", "--seed", "1", "--count", "1", "--out-dir", d]) == 0
         sino = os.path.join(d, "sino_0000.sino")
         out = os.path.join(d, "tv.img")
+        projector._memo.clear()   # the command solves cold, the check warm
         assert main(["tv", "--sino", sino, "--out", out, "--lam", "3e-3",
                      "--subsample", "7"]) == 0
         sub = subsample_views(formats.load_sinogram(sino), 7)

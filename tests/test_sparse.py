@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from sparsect.numerics import Rng
+from sparsect import projector
 from sparsect.projector import uniform_geometry, Image, Sinogram, forward, system_matrix
 from sparsect.phantom import random_phantom, analytic_sinogram
 from sparsect.fbp import fbp_reconstruct, subsample_views
@@ -210,3 +213,101 @@ class TestTvAdmm:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(cg_iters=0)
+
+    def test_lambda_zero_reports_cg_failure(self):
+        # ten CG steps cannot reach 1e-14 on this ill-posed 5-view instance
+        sino = _instance(seed=4, factor=6)
+        with pytest.raises(SolverError, match="CG failed to converge"):
+            tv_admm_reconstruct(sino, SolverConfig(lam=0.0, cg_iters=1, cg_tol=1e-14))
+
+
+TV_PIPELINE = dict(lam=3e-3, rho=0.1, max_iters=50, cg_iters=15, cg_tol=1e-7, tol=0.0)
+
+
+class TestCarriedResidual:
+    def test_pcg_with_r0_matches_pcg_without(self):
+        geom = uniform_geometry(32, 12)
+        nop = projector.normal_operator(geom)
+        b = Rng(1).normal((32, 32))
+        x0 = Rng(2).normal((32, 32))
+        precond = sparse._fourier_preconditioner(sparse._impulse_spectrum(nop, 32), 0.1)
+        plain = sparse._pcg(nop, b, x0, precond, 8, 1e-12)
+        carried = sparse._pcg(nop, b, x0, precond, 8, 1e-12, r0=b - nop(x0))
+        for got, want in zip(carried, plain):
+            assert np.array_equal(got, want)
+
+    def test_carried_residual_stays_the_true_residual(self, monkeypatch):
+        calls = []
+        pcg = sparse._pcg
+
+        def recording(apply_a, b, x0, precond, iters, tol, r0=None):
+            out = pcg(apply_a, b, x0, precond, iters, tol, r0)
+            calls.append((apply_a, b, out[0], out[2].copy()))
+            return out
+        monkeypatch.setattr(sparse, "_pcg", recording)
+        sino = _instance(seed=8, side=64, n_views=90, factor=7)
+        tv_admm_reconstruct(sino, SolverConfig(**TV_PIPELINE))
+        assert len(calls) == 50
+        apply_a, rhs, x, r = calls[-1]
+        assert np.linalg.norm(r - (rhs - apply_a(x))) <= 1e-10 * np.linalg.norm(rhs)
+
+
+class TestGeometryMemo:
+    """The per-geometry cache behind `normal_operator` and both solvers."""
+
+    TV = SolverConfig(lam=3e-3, rho=0.1, max_iters=10, cg_iters=10, cg_tol=1e-7, tol=0.0)
+    FISTA = SolverConfig(lam=2e-3, max_iters=20, tol=0.0, fista=True)
+
+    def _solves(self, sino):
+        return (tv_admm_reconstruct(sino, self.TV).values,
+                ista_reconstruct(sino, self.FISTA).values)
+
+    def test_cold_warm_and_evicted_solves_agree(self):
+        sino, other = _instance(seed=9, factor=5), _instance(seed=9, n_views=36, factor=6)
+        projector._memo.clear()
+        cold = self._solves(sino)
+        warm = self._solves(sino)
+        self._solves(other)
+        assert projector._memo["geometry"] == other.geometry
+        evicted = self._solves(sino)
+        for a, b, c in zip(cold, warm, evicted):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_system_matrix_built_once_per_geometry(self, monkeypatch):
+        builds = []
+        build = projector.system_matrix
+        monkeypatch.setattr(projector, "system_matrix",
+                            lambda geom: builds.append(geom) or build(geom))
+        projector._memo.clear()
+        sino = _instance(seed=10, factor=5)
+        for _ in range(2):
+            self._solves(sino)
+        assert builds == [sino.geometry]
+        assert set(projector._memo) == {"geometry", "csr", "hh_spectrum", "lipschitz"}
+
+    def test_new_geometry_drops_the_old_entry_first(self, monkeypatch):
+        first, second = uniform_geometry(32, 10), uniform_geometry(32, 11)
+        projector._memo.clear()
+        projector.normal_operator(first)
+        old = weakref.ref(projector._memo["csr"][0])
+        seen = []
+        build = projector.system_matrix
+
+        def spy(geom):
+            seen.append((dict(projector._memo), old()))
+            return build(geom)
+        monkeypatch.setattr(projector, "system_matrix", spy)
+        projector.normal_operator(second)
+        assert seen == [({"geometry": second}, None)]
+        assert projector._memo["geometry"] == second
+
+    def test_cached_arrays_are_read_only(self):
+        projector._memo.clear()
+        self._solves(_instance(seed=11, factor=5))
+        arrays = [projector._memo["hh_spectrum"]]
+        for mat in projector._memo["csr"]:
+            arrays += [mat.data, mat.indices, mat.indptr]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert isinstance(projector._memo["lipschitz"], float)
