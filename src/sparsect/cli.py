@@ -104,9 +104,10 @@ def cmd_tv(args):
     image = tv_admm_reconstruct(sino, config, history=history)
     _save_recon(image, args.out, args.pgm)
     if args.history:
-        formats.write_csv(history, ["iter", "objective", "primal", "dual"],
-                          args.history)
-    print(f"wrote TV-ADMM reconstruction to {args.out}")
+        formats.write_csv(history, ["iter", "objective", "primal", "dual",
+                                    "cg_steps", "cg_resid"], args.history)
+    print(f"wrote TV-ADMM reconstruction to {args.out} ({len(history)} iterations, "
+          f"{sum(row[4] for row in history)} CG steps = H*H applies)")
 
 
 def cmd_train(args):

@@ -505,6 +505,20 @@ class TestCli:
         expected = tv_admm_reconstruct(sub, _tv_config(ExperimentManifest(), 3e-3))
         assert np.array_equal(formats.load_image(out).values, expected.values)
 
+    def test_tv_history_reports_cg_steps(self, tmp_path, capsys):
+        d = str(tmp_path)
+        assert main(["gen-data", "--seed", "1", "--side", "32", "--n-views", "30",
+                     "--count", "1", "--out-dir", d]) == 0
+        hist = os.path.join(d, "tv.csv")
+        assert main(["tv", "--sino", os.path.join(d, "sino_0000.sino"), "--out",
+                     os.path.join(d, "tv.img"), "--subsample", "5", "--tol", "0",
+                     "--iters", "12", "--history", hist]) == 0
+        lines = open(hist).read().strip().split("\n")
+        assert lines[0] == "iter,objective,primal,dual,cg_steps,cg_resid"
+        steps = [int(line.split(",")[4]) for line in lines[1:]]
+        assert len(steps) == 12 and min(steps) >= 1
+        assert f"(12 iterations, {sum(steps)} CG steps" in capsys.readouterr().out
+
     def test_project_discrete_vs_analytic(self, tmp_path, capsys):
         d = str(tmp_path)
         main(["gen-data", "--seed", "2", "--side", "32", "--n-views", "10",

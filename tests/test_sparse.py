@@ -213,6 +213,11 @@ class TestTvAdmm:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(cg_iters=0)
+        with pytest.raises(ValueError, match="levels"):
+            SolverConfig(levels=-1)
+        for bad in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(ValueError, match="step_inverse"):
+                SolverConfig(step_inverse=bad)
 
     def test_lambda_zero_reports_cg_failure(self):
         # ten CG steps cannot reach 1e-14 on this ill-posed 5-view instance
@@ -250,6 +255,38 @@ class TestCarriedResidual:
         assert len(calls) == 50
         apply_a, rhs, x, r = calls[-1]
         assert np.linalg.norm(r - (rhs - apply_a(x))) <= 1e-10 * np.linalg.norm(rhs)
+
+
+class TestInexactAdmm:
+    """CG's tolerance follows the change of the x-update's right-hand side."""
+
+    @staticmethod
+    def _solve(factor):
+        geom = uniform_geometry(64, 90)
+        full = analytic_sinogram(random_phantom(Rng(8)), geom)
+        hist = []
+        img = tv_admm_reconstruct(subsample_views(full, factor),
+                                  SolverConfig(**TV_PIPELINE), history=hist)
+        return snr(fbp_reconstruct(full), img), hist
+
+    @pytest.mark.parametrize("factor, max_steps", [(7, 200), (20, 400)])
+    def test_fewer_cg_steps_same_snr(self, monkeypatch, factor, max_steps):
+        db, hist = self._solve(factor)
+        assert sum(row[4] for row in hist) <= max_steps
+        monkeypatch.setattr(sparse, "CG_FORCING", 0.0)   # every x-update to cg_tol
+        exact_db, exact_hist = self._solve(factor)
+        assert sum(row[4] for row in exact_hist) > max_steps
+        assert abs(db - exact_db) <= 0.05
+
+    def test_history_reports_cg_steps_and_residual(self):
+        cfg = SolverConfig(**TV_PIPELINE)
+        _, hist = self._solve(7)
+        assert len(hist) == cfg.max_iters
+        for _, _, _, _, cg_steps, cg_resid in hist:   # six fields
+            assert 1 <= cg_steps <= cfg.cg_iters
+            assert cg_resid >= 0
+        # the first x-update is solved to cg_tol, or stops at the cap
+        assert hist[0][5] <= cfg.cg_tol or hist[0][4] == cfg.cg_iters
 
 
 class TestGeometryMemo:
