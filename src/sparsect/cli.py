@@ -45,15 +45,17 @@ def _save_recon(image, out, pgm=False):
 
 
 def cmd_gen_data(args):
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, not {args.count}")
     os.makedirs(args.out_dir, exist_ok=True)
     geom = _geometry(args)
     root = Rng(args.seed)
     for i in range(args.count):
         ph = random_phantom(root.split(i))
+        raster = rasterize(ph, args.side)  # first: it rejects a bad side before any file
         save_phantom(ph, os.path.join(args.out_dir, f"phantom_{i:04d}.txt"))
         sino = analytic_sinogram(ph, geom)
         formats.save_sinogram(sino, os.path.join(args.out_dir, f"sino_{i:04d}.sino"))
-        raster = rasterize(ph, args.side)
         formats.save_image(raster, os.path.join(args.out_dir, f"raster_{i:04d}.img"))
     print(f"wrote {args.count} phantom/sinogram/raster triples to {args.out_dir}")
 
@@ -183,14 +185,14 @@ def cmd_bench(args):
             tracemalloc.stop()
         if name == "forward":
             sino = out
-    # one batch-1 SGD step of the pipeline's default network (depth 3, 16 channels)
+    # one batch-1 SGD step, flips included, of the default network (depth 3, 16 channels)
     if args.side % 8:
         sgd = f"sgd_step skipped (side {args.side} not divisible by 8)"
     else:
         pair = [tuple(rng.normal((args.side, args.side)).astype(np.float32)
                       for _ in range(2))]
         params = init_params(3, 16, rng)
-        schedule = TrainConfig(epochs=1, augment=False)
+        schedule = TrainConfig(epochs=1)
         train(params, pair, schedule, rng)  # warm-up: first-call allocations
         t0 = time.perf_counter()
         train(params, pair, schedule, rng)

@@ -2,10 +2,10 @@
 deconvolution variant, and uniform view subsampling.
 
 The ramp is built in the spatial domain (band-limited Ram-Lak taps) and
-applied in the frequency domain after zero-padding to at least twice the next
-power of two, which avoids both circular wrap-around and the classic DC-bias
-error of sampling |freq| directly.  Memory stays bounded: views are filtered
-in blocks, and the deconvolution form filters a real-FFT half spectrum.
+applied in the frequency domain after zero-padding to twice the data (views up
+to a power of two, see `filter_views`), which avoids both circular wrap-around
+and the classic DC-bias error of sampling |freq| directly.  Memory stays
+bounded: views go in blocks, the deconvolution form a real-FFT half spectrum.
 """
 
 from dataclasses import dataclass
@@ -78,6 +78,9 @@ def filter_views(values: np.ndarray, filt: RampFilter) -> np.ndarray:
     The result is scaled by det_spacing so it approximates the continuous
     convolution integral.  Views go through one reused buffer in blocks of at
     most 2**16 padded cells (or one view); rows transform alone, bit-exactly.
+    The FFT takes any length, but the padded one stays a power of two: the
+    window is sampled on that grid, and even a rounding-level FBP change moves
+    the networks trained on it (and `perfbench/reference.json`'s CNN values).
     """
     n_views, n_bins = values.shape
     half = len(filt.taps) // 2
@@ -130,7 +133,7 @@ def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
     # exact there, which keeps the 2-D ramp's long kernel from seeing a
     # truncation edge near the reconstruction region
     ext = 2 * side
-    size = 1 << (2 * ext - 1).bit_length()   # the power of two in [2 * ext, 4 * ext)
+    size = 2 * ext   # zero padding against circular wrap-around, as for the views
     f_nyq = 0.5 / geom.pixel_spacing
     resp = np.add.outer(np.fft.fftfreq(size, d=geom.pixel_spacing) ** 2,
                         np.fft.rfftfreq(size, d=geom.pixel_spacing) ** 2)
@@ -138,10 +141,10 @@ def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
     resp[resp > f_nyq] = 0.0
     resp *= _apod_window(resp / f_nyq, apodization)
     bp = backproject_pixel_driven(sinogram.values, geom, side=ext)
-    spec = fft_2d(bp * (np.pi / geom.n_views), real=True, shape=(size, size))
+    spec = fft_2d(bp * (np.pi / geom.n_views), shape=(size, size))
     spec *= resp
     del bp, resp
-    out = fft_2d(spec, inverse=True, real=True, shape=(size, size))
+    out = fft_2d(spec, inverse=True, shape=(size, size))
     crop = (ext - side) // 2
     return Image(values=out[crop:crop + side, crop:crop + side].copy(),
                  pixel_spacing=geom.pixel_spacing)

@@ -46,7 +46,6 @@ CLIP = 1e-2                     # elementwise gradient clip
 @dataclass
 class TrainConfig:
     epochs: int = 30
-    augment: bool = True        # random horizontal/vertical flips
 
 
 def layer_specs(depth, base_channels):
@@ -171,11 +170,10 @@ def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None
         losses = []
         for i in order:
             x, t = dataset[i]
-            if schedule.augment:
-                if rng.random() < 0.5:
-                    x, t = x[:, ::-1], t[:, ::-1]
-                if rng.random() < 0.5:
-                    x, t = x[::-1, :], t[::-1, :]
+            if rng.random() < 0.5:
+                x, t = x[:, ::-1], t[:, ::-1]
+            if rng.random() < 0.5:
+                x, t = x[::-1, :], t[::-1, :]
             out, pvars, _ = _build_graph(params, np.ascontiguousarray(x))
             diff = out.value[0] - t
             loss = float(np.mean(diff * diff))

@@ -96,20 +96,17 @@ def fft_1d(x, inverse=False):
 
     Forward is unnormalized (fft([1,1,1,1]) == [4,0,0,0]); inverse divides by
     n, so fft_1d(fft_1d(x), inverse=True) == x.  Every FFT in sparsect goes
-    through `fft_1d` or `fft_2d`, so one place sees them all; a caller that
-    needs a power-of-two length pads to it itself.
+    through `fft_1d` or `fft_2d`, so one place sees them all.
     """
     return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
-def fft_2d(x, inverse=False, real=False, shape=None):
-    """2-D DFT over the last two axes, normalized as `fft_1d`.  With `real`,
-    `rfft2`/`irfft2`: real `x`, zero-padded to `shape` (default: its own), to
-    the half spectrum of `shape[1] // 2 + 1` columns, and back to the real
-    array of `shape`; equal to the complex pair's real part up to rounding."""
-    if real:
-        return np.fft.irfft2(x, s=shape) if inverse else np.fft.rfft2(x, s=shape)
-    return np.fft.ifft2(x) if inverse else np.fft.fft2(x)
+def fft_2d(x, inverse=False, shape=None):
+    """2-D real-input DFT over the last two axes, normalized as `fft_1d`:
+    `rfft2` of real `x`, zero-padded to `shape` (default: its own), to the
+    half spectrum of `shape[1] // 2 + 1` columns; with `inverse`, `irfft2`
+    back to the real array of `shape`.  Any side will do."""
+    return np.fft.irfft2(x, s=shape) if inverse else np.fft.rfft2(x, s=shape)
 
 
 def affine_fit(reference, candidate):

@@ -31,7 +31,7 @@ from .numerics import fft_2d
 
 __all__ = ["Geometry", "Image", "Sinogram", "uniform_geometry", "forward",
            "adjoint", "backproject_values", "normal_operator", "geometry_memo",
-           "certify_normal_convolution", "CertReport"]
+           "kernel_spectrum", "certify_normal_convolution", "CertReport"]
 
 
 @dataclass(frozen=True)
@@ -363,16 +363,24 @@ class CertReport:
     spectral_slope: float
 
 
-def _radial_average(spectrum2d):
-    """Mean magnitude over integer-radius annuli; returns (radii, means)."""
-    n = spectrum2d.shape[0]
-    f = np.fft.fftfreq(n) * n   # integer frequency index, signed
-    rad = np.sqrt(f[:, None] ** 2 + f[None, :] ** 2)
-    bins = np.rint(rad).astype(int)
-    counts = np.bincount(bins.ravel())
-    sums = np.bincount(bins.ravel(), weights=np.abs(spectrum2d).ravel())
-    radii = np.arange(len(counts))
-    return radii, sums / np.maximum(counts, 1)
+def kernel_spectrum(response):
+    """Read-only half spectrum |rfft2| of a centred impulse response moved to
+    the origin: the spectrum of its convolution kernel, at any side."""
+    spec = np.abs(fft_2d(np.fft.ifftshift(response)))
+    spec.setflags(write=False)
+    return spec
+
+
+def _radial_average(half):
+    """Mean over integer-radius annuli of a half spectrum; returns (radii,
+    means).  Columns other than 0 and n/2 count twice, for their mirrors."""
+    n, m = half.shape
+    f, k = np.fft.fftfreq(n) * n, np.fft.rfftfreq(n) * n   # integer frequency indices
+    bins = np.rint(np.sqrt(f[:, None] ** 2 + k[None, :] ** 2)).astype(int).ravel()
+    mult = np.broadcast_to(np.where(2 * np.arange(m) % n == 0, 1.0, 2.0), half.shape)
+    counts = np.bincount(bins, weights=mult.ravel())
+    means = np.bincount(bins, weights=(half * mult).ravel()) / np.maximum(counts, 1)
+    return np.arange(len(counts)), means
 
 
 def certify_normal_convolution(geometry: Geometry, normal_op=None) -> CertReport:
@@ -385,11 +393,10 @@ def certify_normal_convolution(geometry: Geometry, normal_op=None) -> CertReport
     response (0 for an exactly shift-invariant operator).  Also radially
     averages the center response's 2-D spectrum and fits a log-log slope over
     the mid-band [0.03, 0.12] * side cycles per image (the Radon normal
-    operator should give a slope near -1).  The side must be a power of two.
+    operator should give a slope near -1).  Any side will do: the spectrum
+    is the image grid's `kernel_spectrum`, the one the TV preconditioner uses.
     """
     side = geometry.image_side
-    if side & (side - 1) != 0:
-        raise ValueError("spectral certification requires a power-of-two image side")
     c, q = side // 2, side // 8
     probes = [(c, c), (c - q, c), (c + q, c), (c, c - q), (c, c + q)]
     if normal_op is None:
@@ -399,21 +406,16 @@ def certify_normal_convolution(geometry: Geometry, normal_op=None) -> CertReport
     for (pi, pj) in probes:
         delta = np.zeros((side, side))
         delta[pi, pj] = 1.0
-        resp = normal_op(delta)
-        responses.append(np.roll(resp, (c - pi, c - pj), axis=(0, 1)))
+        responses.append(np.roll(normal_op(delta), (c - pi, c - pj), axis=(0, 1)))
 
     ref = responses[0]
     ref_norm = np.linalg.norm(ref)
     score = max(np.linalg.norm(r - ref) / ref_norm for r in responses)
 
-    # impulse-response center moved to index (0,0) so the spectrum is ~real
-    spec = fft_2d(np.fft.ifftshift(ref))
-    radii, amps = _radial_average(spec)
+    radii, amps = _radial_average(kernel_spectrum(ref))
 
     lo = max(1, int(np.floor(0.03 * side)))
     hi = max(lo + 2, int(np.ceil(0.12 * side)))
     sel = (radii >= lo) & (radii <= hi) & (amps > 0)
-    logs_r = np.log(radii[sel].astype(float))
-    logs_a = np.log(amps[sel])
-    slope = float(np.polyfit(logs_r, logs_a, 1)[0])
+    slope = float(np.polyfit(np.log(radii[sel]), np.log(amps[sel]), 1)[0])
     return CertReport(shift_invariance_score=float(score), spectral_slope=slope)

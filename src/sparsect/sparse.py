@@ -33,7 +33,7 @@ import numpy as np
 
 from .numerics import Rng, fft_2d
 from .projector import (Geometry, Image, Sinogram, forward, adjoint,
-                        normal_operator, geometry_memo)
+                        normal_operator, geometry_memo, kernel_spectrum)
 
 __all__ = ["SolverConfig", "SolverError", "soft_threshold",
            "wavelet_analysis", "wavelet_synthesis", "estimate_lipschitz",
@@ -250,13 +250,10 @@ def _tv_prox(gx, gy, theta):
 
 
 def _impulse_spectrum(nop, side: int):
-    """Read-only |rfft2| of the impulse response of `nop` at the grid center,
-    moved to the origin: the half spectrum of the certified H*H kernel."""
+    """`kernel_spectrum` of `nop`'s response to an impulse at the grid centre."""
     delta = np.zeros((side, side))
     delta[side // 2, side // 2] = 1.0
-    spec = np.abs(fft_2d(np.fft.ifftshift(nop(delta)), real=True))
-    spec.setflags(write=False)
-    return spec
+    return kernel_spectrum(nop(delta))
 
 
 def _fourier_preconditioner(spec_h, rho: float):
@@ -272,7 +269,7 @@ def _fourier_preconditioner(spec_h, rho: float):
     shape = (side, side)
 
     def apply(v):
-        return fft_2d(fft_2d(v, real=True) * inv, inverse=True, real=True, shape=shape)
+        return fft_2d(fft_2d(v) * inv, inverse=True, shape=shape)
     return apply
 
 

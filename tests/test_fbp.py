@@ -34,7 +34,7 @@ def _deconvolution_full_grid(sino, apodization):
     side = geom.image_side
     ext = 2 * side
     bp = backproject_pixel_driven(sino.values, geom, side=ext) * (np.pi / geom.n_views)
-    size = 1 << (2 * ext - 1).bit_length()
+    size = 2 * ext
     padded = np.zeros((size, size))
     lo = (size - ext) // 2
     padded[lo:lo + ext, lo:lo + ext] = bp
@@ -178,6 +178,13 @@ def test_direct_inversions_bound_their_memory():
                              uniform_geometry(128, 180))
     assert _peak_mib(lambda: deconvolution_form(sino)) <= 10.0
     assert _peak_mib(lambda: fbp_reconstruct(sino)) <= 4.0
+
+
+def test_deconvolution_grid_is_twice_the_extended_side_at_any_side():
+    # 1.51 MiB on the power of two (256) above 2 * ext = 132
+    sino = analytic_sinogram(Phantom([Ellipse(0.0, 0.0, 0.5, 0.4, 0.3, 1.0)]),
+                             uniform_geometry(33, 30))
+    assert _peak_mib(lambda: deconvolution_form(sino)) <= 0.6
 
 
 class TestSubsampleViews:

@@ -253,7 +253,7 @@ class TestTraining:
     def test_loss_decreases(self):
         data = self._toy_dataset()
         params = init_params(1, 4, Rng(9))
-        out, history = train(params, data, TrainConfig(epochs=8, augment=False),
+        out, history = train(params, data, TrainConfig(epochs=8),
                              Rng(10))
         assert history[-1][1] < history[0][1]
 

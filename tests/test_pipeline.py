@@ -534,6 +534,17 @@ class TestCli:
         sb = formats.load_sinogram(b).values
         assert np.linalg.norm(sa - sb) / np.linalg.norm(sa) < 0.15
 
+    def test_gen_data_rejects_a_bad_side_before_writing_any_file(self, tmp_path, capsys):
+        assert main(["gen-data", "--side", "8", "--count", "2",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "error: rasterize needs side >= 16" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_gen_data_rejects_a_negative_count(self, tmp_path, capsys):
+        assert main(["gen-data", "--count", "-4", "--out-dir", str(tmp_path / "d")]) == 1
+        assert "error: --count must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_certify_command(self, capsys):
         assert main(["certify", "--side", "64", "--n-views", "90"]) == 0
         assert "PASS" in capsys.readouterr().out

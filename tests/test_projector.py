@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsect import projector
+from sparsect.cli import build_parser
 from sparsect.numerics import Rng
 from sparsect.projector import (Geometry, Image, Sinogram, uniform_geometry,
                                 forward, adjoint, backproject_values,
@@ -422,17 +423,9 @@ class TestCertification:
         report = certify_normal_convolution(geom, normal_op=conv_op)
         assert report.shift_invariance_score < 1e-12
 
-    def test_rejects_non_power_of_two_side(self):
-        geom = uniform_geometry(48, 10)
-        with pytest.raises(ValueError):
-            certify_normal_convolution(geom)
-
-    def test_side_checked_before_operator_is_applied(self):
-        calls = []
-
-        def counting_op(v):
-            calls.append(1)
-            return v
-        with pytest.raises(ValueError):
-            certify_normal_convolution(uniform_geometry(48, 10), normal_op=counting_op)
-        assert calls == []
+    def test_certifies_a_side_that_is_not_a_power_of_two(self):
+        # the thresholds of `sparsect certify`, at their defaults
+        args = build_parser().parse_args(["certify"])
+        report = certify_normal_convolution(uniform_geometry(48, 90))
+        assert report.shift_invariance_score <= args.score_max
+        assert abs(report.spectral_slope + 1.0) <= args.slope_tol
