@@ -47,12 +47,12 @@ def _save_recon(image, out, pgm=False):
 def cmd_gen_data(args):
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, not {args.count}")
-    os.makedirs(args.out_dir, exist_ok=True)
     geom = _geometry(args)
     root = Rng(args.seed)
     for i in range(args.count):
         ph = random_phantom(root.split(i))
-        raster = rasterize(ph, args.side)  # first: it rejects a bad side before any file
+        raster = rasterize(ph, args.side)  # first: a bad side fails before anything is made
+        os.makedirs(args.out_dir, exist_ok=True)
         save_phantom(ph, os.path.join(args.out_dir, f"phantom_{i:04d}.txt"))
         sino = analytic_sinogram(ph, geom)
         formats.save_sinogram(sino, os.path.join(args.out_dir, f"sino_{i:04d}.sino"))

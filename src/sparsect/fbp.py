@@ -5,14 +5,15 @@ The ramp is built in the spatial domain (band-limited Ram-Lak taps) and
 applied in the frequency domain after zero-padding to twice the data (views up
 to a power of two, see `filter_views`), which avoids both circular wrap-around
 and the classic DC-bias error of sampling |freq| directly.  Memory stays
-bounded: views go in blocks, the deconvolution form a real-FFT half spectrum.
+bounded: views go in blocks, and the deconvolution form transforms forward
+only the rows its back projection holds and back only the crop it returns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import fft_1d, fft_2d
+from .numerics import fft_1d
 from .projector import (Geometry, Image, Sinogram, adjoint,
                         backproject_pixel_driven)
 
@@ -20,6 +21,7 @@ __all__ = ["RampFilter", "make_ramp", "fbp_reconstruct", "deconvolution_form",
            "subsample_views"]
 
 APODIZATIONS = ("none", "hann", "cosine")
+_FFT_BLOCK_CELLS = 1 << 16   # padded cells per FFT block of the view and 2-D filters
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def filter_views(values: np.ndarray, filt: RampFilter) -> np.ndarray:
     resp = fft_1d(kernel).real  # symmetric taps: zero-phase, real response
     f_ratio = np.fft.fftfreq(size) * 2.0  # |f|/f_nyq on the FFT grid
     resp = resp * _apod_window(f_ratio, filt.apodization)
-    step = max(1, (1 << 16) // size)
+    step = max(1, _FFT_BLOCK_CELLS // size)
     padded = np.zeros((min(step, n_views), size))
     filtered = np.empty((n_views, n_bins))
     for v0 in range(0, n_views, step):
@@ -123,10 +125,19 @@ def fbp_reconstruct(sinogram: Sinogram, filt: RampFilter = None) -> Image:
 
 def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
     """Image-domain FBP: back project first, then apply the 2-D ||f|| filter.
+
     The filter is circular, so the back projection goes in at the origin of
-    the padded grid (only the crop moves), and memory stays near one real-FFT
-    half spectrum, on which the ramp and the product are formed in place."""
+    the padded grid and only the crop moves.  The transforms are the 1-D
+    passes of `rfft2`/`irfft2`, in blocks of at most `_FFT_BLOCK_CELLS`
+    padded cells: the row transform of the back projection's rows only, then
+    column strips that are transformed, filtered by their own part of the
+    ramp and transformed back to the crop's rows only, and last the inverse
+    row transform of those rows.  So the output equals the whole-grid pair
+    bit for bit, while memory stays near the half spectrum of the back
+    projection's rows, half of the padded grid's."""
     geom = sinogram.geometry
+    if apodization not in APODIZATIONS:   # before the back projection
+        raise ValueError(f"unknown apodization {apodization!r}")
     side = geom.image_side
     # back project onto a 2x-extended grid: measurements are truly zero beyond
     # the detector, so the slowly decaying tails of the back projection are
@@ -134,20 +145,31 @@ def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
     # truncation edge near the reconstruction region
     ext = 2 * side
     size = 2 * ext   # zero padding against circular wrap-around, as for the views
-    f_nyq = 0.5 / geom.pixel_spacing
-    resp = np.add.outer(np.fft.fftfreq(size, d=geom.pixel_spacing) ** 2,
-                        np.fft.rfftfreq(size, d=geom.pixel_spacing) ** 2)
-    np.sqrt(resp, out=resp)
-    resp[resp > f_nyq] = 0.0
-    resp *= _apod_window(resp / f_nyq, apodization)
-    bp = backproject_pixel_driven(sinogram.values, geom, side=ext)
-    spec = fft_2d(bp * (np.pi / geom.n_views), shape=(size, size))
-    spec *= resp
-    del bp, resp
-    out = fft_2d(spec, inverse=True, shape=(size, size))
     crop = (ext - side) // 2
-    return Image(values=out[crop:crop + side, crop:crop + side].copy(),
-                 pixel_spacing=geom.pixel_spacing)
+    step = max(1, _FFT_BLOCK_CELLS // size)
+    f_nyq = 0.5 / geom.pixel_spacing
+    fy2 = np.fft.fftfreq(size, d=geom.pixel_spacing) ** 2
+    fx2 = np.fft.rfftfreq(size, d=geom.pixel_spacing) ** 2
+    bp = backproject_pixel_driven(sinogram.values, geom, side=ext)
+    bp *= np.pi / geom.n_views
+    rows = np.empty((ext, len(fx2)), dtype=complex)
+    for r0 in range(0, ext, step):
+        rows[r0:r0 + step] = fft_1d(bp[r0:r0 + step], n=size, real=True)
+    del bp
+    kept = np.empty((side, len(fx2)), dtype=complex)
+    for c0 in range(0, len(fx2), step):
+        cols = slice(c0, c0 + step)
+        resp = np.sqrt(np.add.outer(fy2, fx2[cols]))   # this strip's |f|
+        resp[resp > f_nyq] = 0.0
+        resp *= _apod_window(resp / f_nyq, apodization)
+        spec = fft_1d(rows[:, cols], n=size, axis=0)
+        spec *= resp
+        kept[:, cols] = fft_1d(spec, inverse=True, axis=0)[crop:crop + side]
+    out = np.empty((side, side))
+    for r0 in range(0, side, step):
+        out[r0:r0 + step] = fft_1d(kept[r0:r0 + step], inverse=True, n=size,
+                                   real=True)[:, crop:crop + side]
+    return Image(values=out, pixel_spacing=geom.pixel_spacing)
 
 
 def subsample_views(sinogram: Sinogram, factor: int) -> Sinogram:

@@ -91,21 +91,29 @@ class Rng:
         return Rng(int(child_seed))
 
 
-def fft_1d(x, inverse=False):
-    """DFT along the last axis (numpy's pocketfft), of any length.
+def fft_1d(x, inverse=False, n=None, axis=-1, real=False):
+    """DFT along `axis` (numpy's pocketfft), of any length, zero-padded or
+    cut to `n` points (default: the length along `axis`).
 
     Forward is unnormalized (fft([1,1,1,1]) == [4,0,0,0]); inverse divides by
-    n, so fft_1d(fft_1d(x), inverse=True) == x.  Every FFT in sparsect goes
-    through `fft_1d` or `fft_2d`, so one place sees them all.
+    n, so fft_1d(fft_1d(x), inverse=True) == x.  With `real` the pair is
+    `rfft`/`irfft`: the forward transform of real `x` keeps the n // 2 + 1
+    non-negative frequencies, and the inverse returns the real signal of `n`
+    points (default 2 * (length - 1)).  Every FFT in sparsect goes through
+    `fft_1d` or `fft_2d`, so one place sees them all.
     """
-    return np.fft.ifft(x) if inverse else np.fft.fft(x)
+    if real:
+        return np.fft.irfft(x, n, axis) if inverse else np.fft.rfft(x, n, axis)
+    return np.fft.ifft(x, n, axis) if inverse else np.fft.fft(x, n, axis)
 
 
 def fft_2d(x, inverse=False, shape=None):
     """2-D real-input DFT over the last two axes, normalized as `fft_1d`:
     `rfft2` of real `x`, zero-padded to `shape` (default: its own), to the
     half spectrum of `shape[1] // 2 + 1` columns; with `inverse`, `irfft2`
-    back to the real array of `shape`.  Any side will do."""
+    back to the real array of `shape`.  Any side will do.  Bit for bit, it is
+    `fft_1d`'s real transform along the rows, then its complex one along the
+    columns (inverse: columns, then rows), so those passes may run in blocks."""
     return np.fft.irfft2(x, s=shape) if inverse else np.fft.rfft2(x, s=shape)
 
 

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsect.numerics import Rng
+from sparsect import fbp
+from sparsect.numerics import Rng, fft_2d
 from sparsect.projector import uniform_geometry, Sinogram, backproject_pixel_driven
 from sparsect.phantom import Ellipse, Phantom, rasterize, analytic_sinogram
 from sparsect.fbp import (APODIZATIONS, RampFilter, ramp_tap, make_ramp, filter_views,
@@ -44,6 +45,25 @@ def _deconvolution_full_grid(sino, apodization):
     resp = fr * _apod_window(fr / f_nyq, apodization) * (fr <= f_nyq)
     out = np.fft.ifft2(np.fft.fft2(padded) * resp).real
     crop = lo + (ext - side) // 2
+    return out[crop:crop + side, crop:crop + side]
+
+
+def _deconvolution_whole_grid(sino, apodization):
+    """Reference: the 2-D filter as one real transform pair on the whole
+    padded grid, the form the blocked passes must equal bit for bit."""
+    geom = sino.geometry
+    side = geom.image_side
+    ext = 2 * side
+    size = 2 * ext
+    f_nyq = 0.5 / geom.pixel_spacing
+    resp = np.sqrt(np.add.outer(np.fft.fftfreq(size, d=geom.pixel_spacing) ** 2,
+                                np.fft.rfftfreq(size, d=geom.pixel_spacing) ** 2))
+    resp[resp > f_nyq] = 0.0
+    resp *= _apod_window(resp / f_nyq, apodization)
+    bp = backproject_pixel_driven(sino.values, geom, side=ext)
+    out = fft_2d(fft_2d(bp * (np.pi / geom.n_views), shape=(size, size)) * resp,
+                 inverse=True, shape=(size, size))
+    crop = (ext - side) // 2
     return out[crop:crop + side, crop:crop + side]
 
 
@@ -170,14 +190,42 @@ class TestDeconvolutionForm:
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    # 16 to 64: one row block and one column strip (33: odd crop); 100 and
+    # 128: several of each, the last one partial
+    @pytest.mark.parametrize("side", [16, 32, 33, 64, 100, 128])
+    @pytest.mark.parametrize("apodization", APODIZATIONS)
+    def test_blocks_equal_whole_grid_transform_bit_for_bit(self, side, apodization):
+        ph = Phantom([Ellipse(0.1, -0.05, 0.4, 0.3, 0.4, 1.0),
+                      Ellipse(-0.2, 0.15, 0.2, 0.15, 1.2, -0.5)])
+        sino = analytic_sinogram(ph, uniform_geometry(side, 45))
+        assert np.array_equal(deconvolution_form(sino, apodization).values,
+                              _deconvolution_whole_grid(sino, apodization))
+
+    def test_bad_apodization_fails_before_the_back_projection(self, monkeypatch):
+        def no_back_projection(*args, **kwargs):
+            raise AssertionError("back projected before checking the apodization")
+        monkeypatch.setattr(fbp, "backproject_pixel_driven", no_back_projection)
+        geom = uniform_geometry(32, 10)
+        sino = Sinogram(geometry=geom, values=np.zeros((10, geom.n_bins)))
+        with pytest.raises(ValueError, match="unknown apodization 'bogus'"):
+            deconvolution_form(sino, "bogus")
+
 
 def test_direct_inversions_bound_their_memory():
     # 18.5 and 7.2 MiB with one complex transform of the whole 512^2 grid
-    # and of the whole (180, 1024) padded sinogram
+    # and of the whole (180, 1024) padded sinogram; 6.0 MiB with one real
+    # transform pair of the whole grid
     sino = analytic_sinogram(Phantom([Ellipse(0.0, 0.0, 0.5, 0.4, 0.3, 1.0)]),
                              uniform_geometry(128, 180))
-    assert _peak_mib(lambda: deconvolution_form(sino)) <= 10.0
+    assert _peak_mib(lambda: deconvolution_form(sino)) <= 5.0
     assert _peak_mib(lambda: fbp_reconstruct(sino)) <= 4.0
+
+
+def test_deconvolution_memory_follows_the_crop_not_the_padded_grid():
+    # 24.0 MiB with one real transform pair of the whole 1024^2 grid
+    sino = analytic_sinogram(Phantom([Ellipse(0.0, 0.0, 0.5, 0.4, 0.3, 1.0)]),
+                             uniform_geometry(256, 360))
+    assert _peak_mib(lambda: deconvolution_form(sino)) <= 12.0
 
 
 def test_deconvolution_grid_is_twice_the_extended_side_at_any_side():

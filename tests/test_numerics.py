@@ -82,6 +82,35 @@ class TestFft:
         x = Rng(3).normal((5, 32))
         assert np.allclose(fft_1d(x), np.fft.fft(x, axis=-1), atol=1e-10)
 
+    @pytest.mark.parametrize("n", [16, 12, 9])
+    def test_real_pair_is_the_zero_padded_half_spectrum(self, n):
+        x = Rng(7).normal((3, 5))
+        padded = np.zeros((3, n))
+        padded[:, :5] = x
+        half = fft_1d(x, n=n, real=True)
+        assert half.shape == (3, n // 2 + 1)
+        assert np.allclose(half, np.fft.fft(padded)[:, :n // 2 + 1], atol=1e-12)
+        assert np.allclose(fft_1d(half, inverse=True, n=n, real=True), padded, atol=1e-12)
+
+    def test_length_and_axis(self):
+        x = Rng(8).normal((5, 3)) + 1j * Rng(9).normal((5, 3))
+        padded = np.zeros((12, 3), dtype=complex)
+        padded[:5] = x
+        assert np.allclose(fft_1d(x, n=12, axis=0), np.fft.fft(padded, axis=0), atol=1e-12)
+        assert np.allclose(fft_1d(fft_1d(x, n=12, axis=0), inverse=True, axis=0),
+                           padded, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (12, 7), (9, 10)])
+    def test_1d_passes_equal_fft_2d_bit_for_bit(self, shape):
+        # the order of `rfft2`/`irfft2`: rows then columns, columns then rows
+        x = Rng(10).normal((5, 4))
+        half = fft_2d(x, shape=shape)
+        assert np.array_equal(fft_1d(fft_1d(x, n=shape[1], real=True), n=shape[0], axis=0),
+                              half)
+        assert np.array_equal(fft_1d(fft_1d(half, inverse=True, n=shape[0], axis=0),
+                                     inverse=True, n=shape[1], real=True),
+                              fft_2d(half, inverse=True, shape=shape))
+
     def test_fft_2d_matches_numpy(self):
         for shape in ((16, 16), (8, 12), (12, 7)):
             x = Rng(4).normal(shape)

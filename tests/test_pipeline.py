@@ -540,6 +540,11 @@ class TestCli:
         assert "error: rasterize needs side >= 16" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_gen_data_rejects_a_bad_side_before_making_the_directory(self, tmp_path, capsys):
+        assert main(["gen-data", "--side", "8", "--out-dir", str(tmp_path / "d")]) == 1
+        assert "error: rasterize needs side >= 16" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_gen_data_rejects_a_negative_count(self, tmp_path, capsys):
         assert main(["gen-data", "--count", "-4", "--out-dir", str(tmp_path / "d")]) == 1
         assert "error: --count must be >= 0" in capsys.readouterr().err
