@@ -5,8 +5,8 @@ The ramp is built in the spatial domain (band-limited Ram-Lak taps) and
 applied in the frequency domain after zero-padding to twice the data (views up
 to a power of two, see `filter_views`), which avoids both circular wrap-around
 and the classic DC-bias error of sampling |freq| directly.  Memory stays
-bounded: views go in blocks, and the deconvolution form transforms forward
-only the rows its back projection holds and back only the crop it returns.
+bounded: views go in blocks, and the deconvolution form filters in column
+strips and transforms back only the crop it returns.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import fft_1d
-from .projector import (Geometry, Image, Sinogram, adjoint,
+from .projector import (Geometry, Image, Sinogram, backproject_values,
                         backproject_pixel_driven)
 
 __all__ = ["RampFilter", "make_ramp", "fbp_reconstruct", "deconvolution_form",
@@ -51,14 +51,7 @@ def ramp_tap(offset: int, det_spacing: float) -> float:
 def make_ramp(n_bins: int, det_spacing: float, apodization="none") -> RampFilter:
     if n_bins < 8:
         raise ValueError("make_ramp needs n_bins >= 8")
-    half = n_bins - 1
-    offs = np.arange(-half, half + 1)
-    odd = offs % 2 == 1
-    # same expressions as ramp_tap, so the taps match it exactly
-    d2 = det_spacing * det_spacing
-    taps = np.zeros(2 * half + 1)
-    taps[odd] = -1.0 / (np.pi * np.pi * offs[odd] * offs[odd] * d2)
-    taps[half] = 1.0 / (4.0 * d2)
+    taps = np.array([ramp_tap(k, det_spacing) for k in range(1 - n_bins, n_bins)])
     return RampFilter(taps=taps, det_spacing=det_spacing, apodization=apodization)
 
 
@@ -78,8 +71,8 @@ def filter_views(values: np.ndarray, filt: RampFilter) -> np.ndarray:
     """Convolve every sinogram row with the ramp (linear, via padded FFT).
 
     The result is scaled by det_spacing so it approximates the continuous
-    convolution integral.  Views go through one reused buffer in blocks of at
-    most 2**16 padded cells (or one view); rows transform alone, bit-exactly.
+    convolution integral.  Views go in blocks of at most 2**16 padded cells
+    (or one view), which `fft_1d` zero-pads; rows transform alone, bit-exactly.
     The FFT takes any length, but the padded one stays a power of two: the
     window is sampled on that grid, and even a rounding-level FBP change moves
     the networks trained on it (and `perfbench/reference.json`'s CNN values).
@@ -94,12 +87,10 @@ def filter_views(values: np.ndarray, filt: RampFilter) -> np.ndarray:
     f_ratio = np.fft.fftfreq(size) * 2.0  # |f|/f_nyq on the FFT grid
     resp = resp * _apod_window(f_ratio, filt.apodization)
     step = max(1, _FFT_BLOCK_CELLS // size)
-    padded = np.zeros((min(step, n_views), size))
     filtered = np.empty((n_views, n_bins))
     for v0 in range(0, n_views, step):
-        block = padded[:len(values[v0:v0 + step])]
-        block[:, :n_bins] = values[v0:v0 + step]
-        filtered[v0:v0 + step] = fft_1d(fft_1d(block) * resp, inverse=True).real[:, :n_bins]
+        filtered[v0:v0 + step] = fft_1d(fft_1d(values[v0:v0 + step], n=size) * resp,
+                                        inverse=True).real[:, :n_bins]
     return np.multiply(filtered, filt.det_spacing, out=filtered)
 
 
@@ -117,9 +108,8 @@ def fbp_reconstruct(sinogram: Sinogram, filt: RampFilter = None) -> Image:
         filt = make_ramp(geom.n_bins, geom.det_spacing, "none")
     if abs(filt.det_spacing - geom.det_spacing) > 1e-12 * geom.det_spacing:
         raise ValueError("filter detector spacing does not match sinogram geometry")
-    filtered = filter_views(sinogram.values, filt)
-    bp = adjoint(Sinogram(geometry=geom, values=filtered))
-    return Image(values=bp.values * _backprojection_scale(geom),
+    bp = backproject_values(filter_views(sinogram.values, filt), geom)
+    return Image(values=bp * _backprojection_scale(geom),
                  pixel_spacing=geom.pixel_spacing)
 
 
@@ -128,13 +118,13 @@ def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
 
     The filter is circular, so the back projection goes in at the origin of
     the padded grid and only the crop moves.  The transforms are the 1-D
-    passes of `rfft2`/`irfft2`, in blocks of at most `_FFT_BLOCK_CELLS`
-    padded cells: the row transform of the back projection's rows only, then
-    column strips that are transformed, filtered by their own part of the
-    ramp and transformed back to the crop's rows only, and last the inverse
-    row transform of those rows.  So the output equals the whole-grid pair
-    bit for bit, while memory stays near the half spectrum of the back
-    projection's rows, half of the padded grid's."""
+    passes of `rfft2`/`irfft2`: one real transform of the back projection's
+    rows only (numpy goes row by row, with no padded copy), then column strips
+    of at most `_FFT_BLOCK_CELLS` padded cells that are transformed, filtered
+    by their own part of the ramp and transformed back to the crop's rows
+    only, and last the inverse row transform of those rows in blocks as large.
+    So the output equals the whole-grid pair bit for bit, while memory stays
+    near the half spectrum of the back projection's rows, half the grid's."""
     geom = sinogram.geometry
     if apodization not in APODIZATIONS:   # before the back projection
         raise ValueError(f"unknown apodization {apodization!r}")
@@ -150,12 +140,8 @@ def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
     f_nyq = 0.5 / geom.pixel_spacing
     fy2 = np.fft.fftfreq(size, d=geom.pixel_spacing) ** 2
     fx2 = np.fft.rfftfreq(size, d=geom.pixel_spacing) ** 2
-    bp = backproject_pixel_driven(sinogram.values, geom, side=ext)
-    bp *= np.pi / geom.n_views
-    rows = np.empty((ext, len(fx2)), dtype=complex)
-    for r0 in range(0, ext, step):
-        rows[r0:r0 + step] = fft_1d(bp[r0:r0 + step], n=size, real=True)
-    del bp
+    rows = fft_1d(backproject_pixel_driven(sinogram.values, geom, side=ext)
+                  * (np.pi / geom.n_views), n=size, real=True)
     kept = np.empty((side, len(fx2)), dtype=complex)
     for c0 in range(0, len(fx2), step):
         cols = slice(c0, c0 + step)
@@ -166,6 +152,8 @@ def deconvolution_form(sinogram: Sinogram, apodization="none") -> Image:
         spec *= resp
         kept[:, cols] = fft_1d(spec, inverse=True, axis=0)[crop:crop + side]
     out = np.empty((side, side))
+    # blocked though one call traces no higher: its larger temporaries cross
+    # glibc's dynamic mmap threshold (peak RSS 1–2 MB higher at 256²/360)
     for r0 in range(0, side, step):
         out[r0:r0 + step] = fft_1d(kept[r0:r0 + step], inverse=True, n=size,
                                    real=True)[:, crop:crop + side]

@@ -132,8 +132,8 @@ def save_weights(params: NetworkParams, path):
 
 def load_weights(path) -> NetworkParams:
     """Weights of the network that `layer_specs(depth, base_channels)`
-    describes: exactly its arrays, in its shapes, with finite values, and
-    its input map."""
+    describes: exactly its arrays, each named once, in its shapes, with
+    finite values, and its input map."""
     with open(path, "rb") as fh:
         if fh.read(8) != NET_MAGIC:
             raise ValueError(f"{path}: not a weights file")
@@ -149,6 +149,8 @@ def load_weights(path) -> NetworkParams:
                 name = _read(fh, nlen, path, f"array {i} name").decode()
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: array {i} name is not UTF-8") from None
+            if name in weights:
+                raise ValueError(f"{path}: array {name!r} appears twice")
             ndim, = _unpack(fh, "<B", path, f"{name} ndim")
             dims = _unpack(fh, f"<{ndim}I", path, f"{name} dims")
             count = math.prod(dims)

@@ -105,8 +105,8 @@ class ExperimentManifest:
 
     @classmethod
     def load(cls, path):
-        """The manifest in `path`: `key = value` lines, blank lines and `#`
-        comments skipped, each value typed as its field's default."""
+        """The manifest in `path`: `key = value` lines (each key once), blank
+        lines and `#` comments skipped, each value typed as its field's default."""
         types = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
         try:
@@ -120,6 +120,8 @@ class ExperimentManifest:
                         raise ValueError(f"bad manifest line: {line!r}")
                     if key not in types:
                         raise ValueError(f"unknown manifest key {key!r}")
+                    if key in kwargs:
+                        raise ValueError(f"manifest key {key!r} given twice")
                     kwargs[key] = (tuple(int(v) for v in value.split(","))
                                    if types[key] is tuple else types[key](value))
             return cls(**kwargs)

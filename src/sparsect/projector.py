@@ -393,10 +393,13 @@ def certify_normal_convolution(geometry: Geometry, normal_op=None) -> CertReport
     response (0 for an exactly shift-invariant operator).  Also radially
     averages the center response's 2-D spectrum and fits a log-log slope over
     the mid-band [0.03, 0.12] * side cycles per image (the Radon normal
-    operator should give a slope near -1).  Any side will do: the spectrum
-    is the image grid's `kernel_spectrum`, the one the TV preconditioner uses.
+    operator should give a slope near -1).  Any side from 8 up will do (below
+    it every probe is the center): the spectrum is the image grid's
+    `kernel_spectrum`, the one the TV preconditioner uses.
     """
     side = geometry.image_side
+    if side < 8:
+        raise ValueError(f"certify needs image side >= 8, got {side}")
     c, q = side // 2, side // 8
     probes = [(c, c), (c - q, c), (c + q, c), (c, c - q), (c, c + q)]
     if normal_op is None:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -300,6 +302,21 @@ class TestWeightsIo:
         assert set(back.weights) == set(params.weights)
         for k in params.weights:
             assert np.array_equal(back.weights[k], params.weights[k])
+
+    def test_rejects_an_array_named_twice(self, tmp_path):
+        # a second final.b, holding 7, after the others and counted in the header
+        path = tmp_path / "w.net"
+        params = init_params(1, 2, Rng(8))
+        formats.save_weights(params, path)
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = struct.pack("<I", len(params.weights) + 1)
+        n_out = params.weights["final.b"].shape[0]
+        raw += (struct.pack("<H", 7) + b"final.b" + struct.pack("<BI", 1, n_out)
+                + np.full(n_out, 7.0, "<f4").tobytes())
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="array 'final.b' appears twice") as exc:
+            formats.load_weights(path)
+        assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("magic", [b"NOTMAGIC", b"SPCTNET1"])
     def test_rejects_wrong_magic(self, tmp_path, magic):

@@ -80,6 +80,13 @@ class TestManifest:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             ExperimentManifest.load(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("seed = 1\nepochs = 2\nseed = 2\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: manifest "
+                                             "key 'seed' given twice"):
+            ExperimentManifest.load(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("# comment\n\nseed = 4\n")
@@ -406,6 +413,15 @@ class TestCli:
                           mpath, capsys)
         assert not (out / "results.csv").exists()
 
+    def test_run_rejects_a_repeated_manifest_key(self, tmp_path, capsys):
+        mpath = tmp_path / "m.txt"
+        ExperimentManifest(**TINY).save(mpath)   # a missing check costs a second
+        mpath.write_text(mpath.read_text() + "seed = 4\n")
+        out = tmp_path / "out"
+        _assert_cli_error(["run", "--manifest", str(mpath), "--out-dir", str(out)],
+                          "manifest key 'seed' given twice", capsys)
+        assert not out.exists()
+
     def test_train_rejects_zero_count(self, tmp_path, capsys):
         rc = main(["train", "--count", "0", "--out", str(tmp_path / "w.net")])
         assert rc == 1
@@ -553,6 +569,12 @@ class TestCli:
     def test_certify_command(self, capsys):
         assert main(["certify", "--side", "64", "--n-views", "90"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_certify_rejects_a_side_below_eight(self, capsys):
+        assert main(["certify", "--side", "5", "--n-views", "30"]) == 1
+        captured = capsys.readouterr()
+        assert "error: certify needs image side >= 8, got 5" in captured.err
+        assert "PASS" not in captured.out
 
     def test_run_command(self, tmp_path, capsys):
         m = ExperimentManifest(**TINY)

@@ -429,3 +429,16 @@ class TestCertification:
         report = certify_normal_convolution(uniform_geometry(48, 90))
         assert report.shift_invariance_score <= args.score_max
         assert abs(report.spectral_slope + 1.0) <= args.slope_tol
+
+    @pytest.mark.parametrize("side", [1, 2, 5, 7])
+    def test_rejects_a_side_below_eight_before_any_operator(self, monkeypatch, side):
+        # below 8 the side/8 probes all fall on the center pixel: a score of 0
+        # by construction
+        def no_operator(*args):
+            raise AssertionError("operator built or applied before the side check")
+        monkeypatch.setattr(projector, "normal_operator", no_operator)
+        geom = uniform_geometry(side, 30)
+        with pytest.raises(ValueError, match=f"image side >= 8, got {side}$"):
+            certify_normal_convolution(geom)
+        with pytest.raises(ValueError, match=f"image side >= 8, got {side}$"):
+            certify_normal_convolution(geom, normal_op=no_operator)
