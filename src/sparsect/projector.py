@@ -18,11 +18,12 @@ sum in order: `forward` sums whole zero-filled rows of a slab of bins, the
 adjoint takes slabs of lines (a cell's bins share one `bincount`), and
 `backproject_pixel_driven` loops over views in blocks of rows.  `H*H` at
 256²/360 takes about 1.0 s on one core (1.6 s unblocked).  `normal_operator`
-uses the CSR matrix for side <= 128 and `forward`/`adjoint` above that.
-`geometry_memo`, the one per-geometry cache, keeps that matrix and what the
-solvers derive from one geometry alone, for one geometry at a time.
+uses the CSR matrix for side <= 128 and `forward`/`adjoint` above that;
+like the solvers' own per-geometry values in `sparse`, it is cached for the
+two most recently used geometries (a default run's two factors).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ import numpy as np
 from .numerics import fft_2d
 
 __all__ = ["Geometry", "Image", "Sinogram", "uniform_geometry", "forward",
-           "adjoint", "backproject_values", "normal_operator", "geometry_memo",
-           "kernel_spectrum", "certify_normal_convolution", "CertReport"]
+           "adjoint", "backproject_values", "normal_operator", "kernel_spectrum",
+           "certify_normal_convolution", "CertReport"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,9 @@ def uniform_geometry(image_side, n_views, fov_radius=1.0, bins_per_pixel=2.0):
     footprint of the transpose back projection below the pixel scale, which
     is what makes the normal operator numerically shift-invariant.
     """
+    if image_side < 1 or n_views < 1:
+        raise ValueError(f"image side and view count must be at least 1, "
+                         f"not {image_side} and {n_views}")
     pixel_spacing = 2.0 * fov_radius / image_side
     det_spacing = pixel_spacing / bins_per_pixel
     diag = image_side * pixel_spacing * np.sqrt(2.0)
@@ -312,45 +316,28 @@ def system_matrix(geom: Geometry):
     return mat.tocsr()
 
 
-_memo = {}  # the one cached geometry ("geometry") and what was built for it
-
-
-def geometry_memo(geometry: Geometry, key, build):
-    """`build()` the first time `key` is asked for with `geometry`, the stored
-    value after that.  One geometry is held at a time: asking with another
-    drops the whole old entry before anything is built for the new one, so
-    memory stays at one geometry's worth.  Builders return read-only arrays,
-    since every caller shares them."""
-    if _memo.get("geometry") != geometry:
-        _memo.clear()
-        _memo["geometry"] = geometry
-    if key not in _memo:
-        _memo[key] = build()
-    return _memo[key]
-
-
-def _csr_pair(geometry):
-    """The read-only CSR matrix of `forward` and its transpose."""
-    mat = system_matrix(geometry)
-    pair = (mat, mat.T.tocsr())
-    for m in pair:
-        for a in (m.data, m.indices, m.indptr):
-            a.setflags(write=False)
-    return pair
-
-
+@functools.lru_cache(maxsize=2)
 def normal_operator(geometry: Geometry):
     """Callable applying H*H to a (side, side) value array: through the CSR
-    system matrix and its stored transpose for side <= 128, built once per
-    geometry (`geometry_memo`), and matrix-free with `forward` and `adjoint`
-    above that (the matrix grows as side cubed)."""
+    system matrix and its transpose for side <= 128, and matrix-free with
+    `forward` and `adjoint` above that (the matrix grows as side cubed).
+
+    `lru_cache` keeps the two most recently used geometries' operators, safe
+    across threads.  A third geometry's is built before the oldest is
+    dropped, so up to three are alive during a build.  Two threads that ask
+    for the same new geometry at once may both build it; the operators are
+    equal, and their matrices read-only, since every caller shares them."""
     side = geometry.image_side
     if side > 128:
         def apply(values):
             img = Image(values=values, pixel_spacing=geometry.pixel_spacing)
             return adjoint(forward(img, geometry)).values
         return apply
-    mat, mat_t = geometry_memo(geometry, "csr", lambda: _csr_pair(geometry))
+    mat = system_matrix(geometry)
+    mat_t = mat.T.tocsr()
+    for m in (mat, mat_t):
+        for a in (m.data, m.indices, m.indptr):
+            a.setflags(write=False)
 
     def apply(values):
         return (mat_t @ (mat @ values.ravel())).reshape(side, side)

@@ -19,21 +19,23 @@ Two solvers over the shared projector pair:
   `cg_tol` is the floor of that tolerance.
 
 What depends on the geometry alone, the normal operator, the spectrum of its
-impulse response and ISTA's step bound, is built once per geometry and kept
-by `projector.geometry_memo`; a solve recomputes only the per-rho
+impulse response and ISTA's step bound, comes from pure functions of the
+geometry, each cached by `functools.lru_cache` for the two most recently
+used geometries (see `projector`); a solve recomputes only the per-rho
 denominator of its preconditioner.
 
 An objective costs one extra `forward` per iteration, so it is computed only
 where it is read: by ISTA's divergence guard and for `history` lists.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Rng, fft_2d
 from .projector import (Geometry, Image, Sinogram, forward, adjoint,
-                        normal_operator, geometry_memo, kernel_spectrum)
+                        normal_operator, kernel_spectrum)
 
 __all__ = ["SolverConfig", "SolverError", "soft_threshold",
            "wavelet_analysis", "wavelet_synthesis", "estimate_lipschitz",
@@ -166,6 +168,12 @@ def estimate_lipschitz(geometry: Geometry, op=None) -> float:
     return 1.05 * lam
 
 
+@functools.lru_cache(maxsize=2)
+def _step_bound(geometry: Geometry) -> float:
+    """`estimate_lipschitz` of `geometry`'s normal operator, cached."""
+    return estimate_lipschitz(geometry)
+
+
 def _data_fit(sinogram: Sinogram, x):
     """0.5*||Hx - y||^2, the data term of both solvers' objectives."""
     geom = sinogram.geometry
@@ -191,12 +199,12 @@ def ista_reconstruct(sinogram: Sinogram, config: SolverConfig,
     `history` to collect (iteration, objective) pairs.
     """
     geom = sinogram.geometry
+    levels = config.levels
+    wty = wavelet_analysis(adjoint(sinogram).values, levels)  # fails on a bad side before H*H
     nop = normal_operator(geom)
     L = config.step_inverse
     if L is None:
-        L = geometry_memo(geom, "lipschitz", lambda: estimate_lipschitz(geom, op=nop))
-    levels = config.levels
-    wty = wavelet_analysis(adjoint(sinogram).values, levels)
+        L = _step_bound(geom)
 
     a = a_prev = np.zeros_like(wty)
     t = 1.0
@@ -249,11 +257,13 @@ def _tv_prox(gx, gy, theta):
     return gx * scale, gy * scale
 
 
-def _impulse_spectrum(nop, side: int):
-    """`kernel_spectrum` of `nop`'s response to an impulse at the grid centre."""
+@functools.lru_cache(maxsize=2)
+def _impulse_spectrum(geometry: Geometry):
+    """`kernel_spectrum` of H*H's response to an impulse at the grid centre."""
+    side = geometry.image_side
     delta = np.zeros((side, side))
     delta[side // 2, side // 2] = 1.0
-    return kernel_spectrum(nop(delta))
+    return kernel_spectrum(normal_operator(geometry)(delta))
 
 
 def _fourier_preconditioner(spec_h, rho: float):
@@ -314,9 +324,8 @@ def tv_admm_reconstruct(sinogram: Sinogram, config: SolverConfig,
     hty = adjoint(sinogram).values
     nop = normal_operator(geom)
     rho = config.rho
-    spec_h = geometry_memo(geom, "hh_spectrum",
-                           lambda: _impulse_spectrum(nop, geom.image_side))
-    precond = _fourier_preconditioner(spec_h, 0.0 if config.lam == 0 else rho)
+    precond = _fourier_preconditioner(_impulse_spectrum(geom),
+                                      0.0 if config.lam == 0 else rho)
 
     if config.lam == 0:
         x, resid, _, _ = _pcg(nop, hty, np.zeros_like(hty), precond,

@@ -248,10 +248,11 @@ TINY = dict(seed=3, image_side=32, n_views=30, factors=(1, 5), n_train=6,
 
 
 class TestRunExperiment:
-    def test_warm_geometry_cache_run_byte_identical(self, tmp_path):
-        projector._memo.clear()
+    def test_warm_geometry_cache_run_byte_identical(self, tmp_path, monkeypatch,
+                                                    cold_caches):
         run_experiment(ExperimentManifest(**TINY), tmp_path / "cold")
-        assert projector._memo["geometry"].n_views == 6   # factor 5's 30 / 5 views
+        monkeypatch.setattr(projector, "system_matrix",
+                            lambda geom: pytest.fail("warm run built a matrix"))
         run_experiment(ExperimentManifest(**TINY), tmp_path / "warm")
         for name in ("results.csv", "results_mean.csv"):
             assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
@@ -509,12 +510,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "snr_db =" in out
 
-    def test_tv_command_runs_the_pipeline_settings(self, tmp_path, capsys):
+    def test_tv_command_runs_the_pipeline_settings(self, tmp_path, capsys, cold_caches):
         d = str(tmp_path)
         assert main(["gen-data", "--seed", "1", "--count", "1", "--out-dir", d]) == 0
         sino = os.path.join(d, "sino_0000.sino")
         out = os.path.join(d, "tv.img")
-        projector._memo.clear()   # the command solves cold, the check warm
+        # the command solves cold, the check warm
         assert main(["tv", "--sino", sino, "--out", out, "--lam", "3e-3",
                      "--subsample", "7"]) == 0
         sub = subsample_views(formats.load_sinogram(sino), 7)
@@ -565,6 +566,16 @@ class TestCli:
         assert main(["gen-data", "--count", "-4", "--out-dir", str(tmp_path / "d")]) == 1
         assert "error: --count must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "project", "certify", "bench"])
+    @pytest.mark.parametrize("side, n_views", [(0, 30), (32, 0)])
+    def test_rejects_an_empty_geometry(self, tmp_path, capsys, command, side, n_views):
+        argv = [command, "--side", str(side), "--n-views", str(n_views)]
+        argv += {"gen-data": ["--out-dir", str(tmp_path / "d")],
+                 "project": ["--phantom", str(tmp_path / "p.txt"),
+                             "--out", str(tmp_path / "s.sino")]}.get(command, [])
+        _assert_cli_error(argv, f"not {side} and {n_views}", capsys)
+        assert list(tmp_path.iterdir()) == []
 
     def test_certify_command(self, capsys):
         assert main(["certify", "--side", "64", "--n-views", "90"]) == 0

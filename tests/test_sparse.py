@@ -1,7 +1,11 @@
+import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sparsect.numerics import Rng
 from sparsect import projector
@@ -123,6 +127,13 @@ class TestIsta:
             ista_reconstruct(sino, SolverConfig(lam=1e-3, max_iters=60,
                                                 step_inverse=0.3, tol=0.0))
 
+    def test_levels_checked_before_any_operator_work(self, monkeypatch):
+        def no_operator(*args):
+            raise AssertionError("operator built before the levels check")
+        monkeypatch.setattr(sparse, "normal_operator", no_operator)
+        with pytest.raises(ValueError, match="side 32 not divisible by 2\\^6"):
+            ista_reconstruct(_instance(), SolverConfig(levels=6))
+
     def test_fista_reaches_lower_objective(self):
         sino = _instance(seed=3)
         h_i, h_f = [], []
@@ -235,7 +246,7 @@ class TestCarriedResidual:
         nop = projector.normal_operator(geom)
         b = Rng(1).normal((32, 32))
         x0 = Rng(2).normal((32, 32))
-        precond = sparse._fourier_preconditioner(sparse._impulse_spectrum(nop, 32), 0.1)
+        precond = sparse._fourier_preconditioner(sparse._impulse_spectrum(geom), 0.1)
         plain = sparse._pcg(nop, b, x0, precond, 8, 1e-12)
         carried = sparse._pcg(nop, b, x0, precond, 8, 1e-12, r0=b - nop(x0))
         for got, want in zip(carried, plain):
@@ -289,8 +300,8 @@ class TestInexactAdmm:
         assert hist[0][5] <= cfg.cg_tol or hist[0][4] == cfg.cg_iters
 
 
-class TestGeometryMemo:
-    """The per-geometry cache behind `normal_operator` and both solvers."""
+class TestGeometryCache:
+    """The per-geometry caches behind `normal_operator` and both solvers."""
 
     TV = SolverConfig(lam=3e-3, rho=0.1, max_iters=10, cg_iters=10, cg_tol=1e-7, tol=0.0)
     FISTA = SolverConfig(lam=2e-3, max_iters=20, tol=0.0, fista=True)
@@ -299,52 +310,123 @@ class TestGeometryMemo:
         return (tv_admm_reconstruct(sino, self.TV).values,
                 ista_reconstruct(sino, self.FISTA).values)
 
-    def test_cold_warm_and_evicted_solves_agree(self):
-        sino, other = _instance(seed=9, factor=5), _instance(seed=9, n_views=36, factor=6)
-        projector._memo.clear()
-        cold = self._solves(sino)
-        warm = self._solves(sino)
-        self._solves(other)
-        assert projector._memo["geometry"] == other.geometry
-        evicted = self._solves(sino)
-        for a, b, c in zip(cold, warm, evicted):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
-
-    def test_system_matrix_built_once_per_geometry(self, monkeypatch):
+    @staticmethod
+    def _spy_builds(monkeypatch):
+        """Record each geometry `system_matrix` builds, with a weak reference
+        to the matrix."""
         builds = []
-        build = projector.system_matrix
-        monkeypatch.setattr(projector, "system_matrix",
-                            lambda geom: builds.append(geom) or build(geom))
-        projector._memo.clear()
-        sino = _instance(seed=10, factor=5)
-        for _ in range(2):
-            self._solves(sino)
-        assert builds == [sino.geometry]
-        assert set(projector._memo) == {"geometry", "csr", "hh_spectrum", "lipschitz"}
-
-    def test_new_geometry_drops_the_old_entry_first(self, monkeypatch):
-        first, second = uniform_geometry(32, 10), uniform_geometry(32, 11)
-        projector._memo.clear()
-        projector.normal_operator(first)
-        old = weakref.ref(projector._memo["csr"][0])
-        seen = []
         build = projector.system_matrix
 
         def spy(geom):
-            seen.append((dict(projector._memo), old()))
-            return build(geom)
+            mat = build(geom)
+            builds.append((geom, weakref.ref(mat)))
+            return mat
         monkeypatch.setattr(projector, "system_matrix", spy)
-        projector.normal_operator(second)
-        assert seen == [({"geometry": second}, None)]
-        assert projector._memo["geometry"] == second
+        return builds
 
-    def test_cached_arrays_are_read_only(self):
-        projector._memo.clear()
-        self._solves(_instance(seed=11, factor=5))
-        arrays = [projector._memo["hh_spectrum"]]
-        for mat in projector._memo["csr"]:
+    def test_cold_warm_and_evicted_solves_agree(self, monkeypatch, cold_caches):
+        sino = _instance(seed=9, factor=5)
+        others = [_instance(seed=9, n_views=36, factor=4), _instance(seed=9, n_views=40, factor=5)]
+        builds = self._spy_builds(monkeypatch)
+        cold = self._solves(sino)
+        warm = self._solves(sino)
+        for other in others:
+            self._solves(other)
+        evicted = self._solves(sino)
+        assert [geom for geom, _ in builds] == [s.geometry for s in [sino, *others, sino]]
+        for a, b, c in zip(cold, warm, evicted):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_system_matrix_built_once_per_geometry(self, monkeypatch, cold_caches):
+        builds = self._spy_builds(monkeypatch)
+        sino = _instance(seed=10, factor=5)
+        for _ in range(2):
+            self._solves(sino)
+        assert [geom for geom, _ in builds] == [sino.geometry]
+        for cached in (projector.normal_operator, sparse._impulse_spectrum,
+                       sparse._step_bound):
+            assert cached.cache_info().currsize == 1
+
+    def test_a_third_geometry_drops_the_least_recently_used(self, monkeypatch, cold_caches):
+        first, second, third = (uniform_geometry(32, n) for n in (10, 11, 12))
+        builds = self._spy_builds(monkeypatch)
+        for geom in (first, second, first, third):   # second is now the oldest
+            projector.normal_operator(geom)
+        gc.collect()
+        alive = {geom.n_views: ref() is not None for geom, ref in builds}
+        assert alive == {10: True, 11: False, 12: True}
+        for geom in (first, third):
+            projector.normal_operator(geom)
+        assert len(builds) == 3
+
+    def test_cached_arrays_are_read_only(self, cold_caches):
+        sino = _instance(seed=11, factor=5)
+        self._solves(sino)
+        geom = sino.geometry
+        cells = [c.cell_contents for c in projector.normal_operator(geom).__closure__]
+        mats = [m for m in cells if scipy.sparse.issparse(m)]
+        assert len(mats) == 2   # the matrix and its transpose
+        arrays = [sparse._impulse_spectrum(geom)]
+        for mat in mats:
             arrays += [mat.data, mat.indices, mat.indptr]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
-        assert isinstance(projector._memo["lipschitz"], float)
+        assert isinstance(sparse._step_bound(geom), float)
+
+    def test_two_geometries_from_two_threads(self, monkeypatch, cold_caches):
+        # a default run's two factors: 64^2 at 13 and 5 views
+        sinos = [_instance(seed=12, side=64, n_views=90, factor=f) for f in (7, 20)]
+        sequential = [self._solves(sino) for sino in sinos]
+        cold_caches()
+        builds = self._spy_builds(monkeypatch)
+        barrier = threading.Barrier(2, timeout=120)
+        results = [[], []]
+
+        def work(i):
+            try:
+                for _ in range(3):
+                    barrier.wait()   # each round's solves start together
+                    results[i].append(self._solves(sinos[i]))
+            except BaseException:
+                barrier.abort()
+                raise
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+            assert not t.is_alive()
+        assert sorted(geom.n_views for geom, _ in builds) == [5, 13]
+        for got, want in zip(results, sequential):
+            assert len(got) == 3
+            for images in got:
+                for a, b in zip(images, want):
+                    assert np.array_equal(a, b)
+
+    def test_more_threads_than_cores_on_more_geometries_than_entries(self, cold_caches):
+        # three geometries cycle through two entries, so every thread keeps
+        # evicting and rebuilding what the others use
+        geoms = [uniform_geometry(16, n) for n in (4, 5, 6)]
+        x = Rng(13).normal((16, 16))
+        want = [projector.normal_operator(g)(x) for g in geoms]
+        cold_caches()
+        right = [0] * 4
+
+        def work(i):
+            for k in range(30):
+                g = (i + k) % 3
+                right[i] += np.array_equal(projector.normal_operator(geoms[g])(x), want[g])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert right == [30] * 4
+        assert projector.normal_operator.cache_info().currsize == 2
