@@ -10,19 +10,17 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error (argparse default).
 import argparse
 import os
 import sys
-import time
-import tracemalloc
 
 import numpy as np
 
 from . import formats
 from .numerics import Rng
 from .phantom import random_phantom, rasterize, analytic_sinogram, load_phantom, save_phantom
-from .projector import uniform_geometry, forward, adjoint, Image, certify_normal_convolution
+from .projector import uniform_geometry, forward, Image, certify_normal_convolution
 from .fbp import (APODIZATIONS, make_ramp, fbp_reconstruct, deconvolution_form,
                   subsample_views)
 from .sparse import SolverConfig, ista_reconstruct, tv_admm_reconstruct, SolverError
-from .net import TrainConfig, init_params, forward_net, train
+from .net import forward_net
 from .pipeline import (ExperimentManifest, run_experiment, snr, generate_dataset,
                        train_cnn)
 
@@ -163,43 +161,6 @@ def cmd_run(args):
               f"   ({table.timings[(factor, method)]:.3f} s/image)")
 
 
-def cmd_bench(args):
-    geom = _geometry(args)
-    rng = Rng(args.seed)
-    image = Image(values=rng.normal((args.side, args.side)),
-                  pixel_spacing=geom.pixel_spacing)
-    filt = make_ramp(geom.n_bins, geom.det_spacing)
-    layers = {"forward": lambda: forward(image, geom), "adjoint": lambda: adjoint(sino),
-              "fbp": lambda: fbp_reconstruct(sino, filt),
-              "deconv": lambda: deconvolution_form(sino)}
-    report = []
-    for name, fn in layers.items():
-        t0 = time.perf_counter()
-        out = fn()
-        report.append(f"{name} {time.perf_counter() - t0:.4f}s")
-        tracemalloc.start()  # peak allocation (MB of 2**20 bytes) of an untimed call
-        try:
-            fn()
-            report[-1] += f" {tracemalloc.get_traced_memory()[1] / 2**20:.1f}MB"
-        finally:
-            tracemalloc.stop()
-        if name == "forward":
-            sino = out
-    # one batch-1 SGD step, flips included, of the default network (depth 3, 16 channels)
-    if args.side % 8:
-        sgd = f"sgd_step skipped (side {args.side} not divisible by 8)"
-    else:
-        pair = [tuple(rng.normal((args.side, args.side)).astype(np.float32)
-                      for _ in range(2))]
-        params = init_params(3, 16, rng)
-        schedule = TrainConfig(epochs=1)
-        train(params, pair, schedule, rng)  # warm-up: first-call allocations
-        t0 = time.perf_counter()
-        train(params, pair, schedule, rng)
-        sgd = f"sgd_step {time.perf_counter() - t0:.4f}s"
-    print(f"{'  '.join(report)}  {sgd} ({args.side}^2, {args.n_views} views)")
-
-
 def _add_geom_args(p):
     p.add_argument("--side", type=int, default=64, help="image side in pixels")
     p.add_argument("--n-views", type=int, default=90, help="projection angles")
@@ -295,11 +256,6 @@ def build_parser():
     p.add_argument("--manifest", help="key=value manifest file (defaults used if omitted)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("bench", help="time forward, adjoint, both FBPs and one SGD step")
-    _add_geom_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

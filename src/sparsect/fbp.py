@@ -108,6 +108,9 @@ def fbp_reconstruct(sinogram: Sinogram, filt: RampFilter = None) -> Image:
         filt = make_ramp(geom.n_bins, geom.det_spacing, "none")
     if abs(filt.det_spacing - geom.det_spacing) > 1e-12 * geom.det_spacing:
         raise ValueError("filter detector spacing does not match sinogram geometry")
+    if len(filt.taps) != 2 * geom.n_bins - 1:
+        raise ValueError(f"ramp filter has {len(filt.taps)} taps; the sinogram's "
+                         f"{geom.n_bins} bins need {2 * geom.n_bins - 1}")
     bp = backproject_values(filter_views(sinogram.values, filt), geom)
     return Image(values=bp * _backprojection_scale(geom),
                  pixel_spacing=geom.pixel_spacing)

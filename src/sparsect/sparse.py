@@ -318,7 +318,7 @@ def tv_admm_reconstruct(sinogram: Sinogram, config: SolverConfig,
     by preconditioned CG on the normal equations).  Pass a list as `history`
     to collect (iteration, objective, primal_residual, dual_residual,
     cg_steps, cg_resid) rows: the x-update's CG steps (H*H applies) and the
-    relative residual it stopped at.
+    relative residual it stopped at; lam == 0 gives one row, primal and dual 0.
     """
     geom = sinogram.geometry
     hty = adjoint(sinogram).values
@@ -328,8 +328,10 @@ def tv_admm_reconstruct(sinogram: Sinogram, config: SolverConfig,
                                       0.0 if config.lam == 0 else rho)
 
     if config.lam == 0:
-        x, resid, _, _ = _pcg(nop, hty, np.zeros_like(hty), precond,
-                              config.cg_iters * 10, config.cg_tol)
+        x, resid, _, steps = _pcg(nop, hty, np.zeros_like(hty), precond,
+                                  config.cg_iters * 10, config.cg_tol)
+        if history is not None:   # no splitting, so no primal or dual residual
+            history.append((0, float(_data_fit(sinogram, x)), 0.0, 0.0, steps, resid))
         if resid > config.cg_tol:
             raise SolverError(f"CG failed to converge: relative residual {resid:.3e}")
         return Image(values=x, pixel_spacing=geom.pixel_spacing)

@@ -160,11 +160,15 @@ class TestFbpReconstruct:
         inside = truth.values > 0
         assert abs(rec.values[inside].mean() - 1.0) < 0.05
 
-    def test_mismatched_filter_spacing_rejected(self):
+    @pytest.mark.parametrize("ramp, match", [
+        (lambda g: make_ramp(g.n_bins, g.det_spacing * 2), "spacing"),
+        (lambda g: make_ramp(9, g.det_spacing), "has 17 taps"),   # another detector
+    ], ids=["spacing", "taps"])
+    def test_mismatched_filter_spacing_rejected(self, ramp, match):
         geom = uniform_geometry(32, 10)
         sino = Sinogram(geometry=geom, values=np.zeros((10, geom.n_bins)))
-        with pytest.raises(ValueError):
-            fbp_reconstruct(sino, make_ramp(geom.n_bins, geom.det_spacing * 2))
+        with pytest.raises(ValueError, match=match):
+            fbp_reconstruct(sino, ramp(geom))
 
 
 class TestDeconvolutionForm:

@@ -319,6 +319,13 @@ class TestCli:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    def test_bench_is_no_longer_a_command(self, capsys):
+        # timing lives in perfbench; the retired subcommand is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--side", "16", "--n-views", "8"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, capsys):
         rc = main(["fbp", "--sino", "/nonexistent/file.sino", "--out", "/tmp/x.img"])
         assert rc == 1
@@ -476,20 +483,6 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bench_command(self, capsys):
-        assert main(["bench", "--side", "16", "--n-views", "8"]) == 0
-        out = capsys.readouterr().out
-        for name in ("forward", "adjoint", "fbp", "deconv"):
-            assert re.search(rf"\b{name} \d+\.\d+s \d+\.\dMB", out), out
-        assert re.search(r"\bsgd_step \d+\.\d+s", out), out
-        assert "(16^2, 8 views)" in out
-
-    def test_bench_skips_sgd_step_on_odd_side(self, capsys):
-        assert main(["bench", "--side", "12", "--n-views", "8"]) == 0
-        out = capsys.readouterr().out
-        assert re.search(r"\bfbp \d+\.\d+s", out), out
-        assert "sgd_step skipped" in out and "not divisible by 8" in out, out
-
     def test_end_to_end_flow(self, tmp_path, capsys):
         d = str(tmp_path)
         assert main(["gen-data", "--seed", "1", "--side", "32", "--n-views", "30",
@@ -536,6 +529,19 @@ class TestCli:
         assert len(steps) == 12 and min(steps) >= 1
         assert f"(12 iterations, {sum(steps)} CG steps" in capsys.readouterr().out
 
+    def test_tv_lambda_zero_reports_its_solve(self, tmp_path, capsys):
+        d = str(tmp_path)
+        assert main(["gen-data", "--seed", "3", "--side", "32", "--n-views", "30",
+                     "--count", "1", "--out-dir", d]) == 0
+        hist = os.path.join(d, "ls.csv")
+        assert main(["tv", "--sino", os.path.join(d, "sino_0000.sino"), "--out",
+                     os.path.join(d, "ls.img"), "--lam", "0", "--history", hist]) == 0
+        lines = open(hist).read().strip().split("\n")
+        assert len(lines) == 2, lines
+        it, _, primal, dual, steps, _ = lines[1].split(",")
+        assert (it, float(primal), float(dual)) == ("0", 0.0, 0.0) and int(steps) >= 1
+        assert f"(1 iterations, {steps} CG steps" in capsys.readouterr().out
+
     def test_project_discrete_vs_analytic(self, tmp_path, capsys):
         d = str(tmp_path)
         main(["gen-data", "--seed", "2", "--side", "32", "--n-views", "10",
@@ -567,7 +573,7 @@ class TestCli:
         assert "error: --count must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "project", "certify", "bench"])
+    @pytest.mark.parametrize("command", ["gen-data", "project", "certify"])
     @pytest.mark.parametrize("side, n_views", [(0, 30), (32, 0)])
     def test_rejects_an_empty_geometry(self, tmp_path, capsys, command, side, n_views):
         argv = [command, "--side", str(side), "--n-views", str(n_views)]

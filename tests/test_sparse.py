@@ -178,13 +178,19 @@ class TestTvAdmm:
             geom = uniform_geometry(side, 60)
             ph = random_phantom(Rng(5))
             sino = analytic_sinogram(ph, geom)
+            hist = []
             img = tv_admm_reconstruct(sino, SolverConfig(lam=0.0, cg_iters=40,
-                                                         cg_tol=1e-9))
+                                                         cg_tol=1e-9), history=hist)
             mat = system_matrix(geom)
             x_ls, *_ = np.linalg.lstsq((mat.T @ mat).toarray(),
                                        mat.T @ sino.values.ravel(), rcond=None)
             rel = np.linalg.norm(img.values.ravel() - x_ls) / np.linalg.norm(x_ls)
             assert rel < 1e-4
+            # one history row for the one CG solve; no splitting, no primal or dual
+            [(k, objective, primal, dual, steps, resid)] = hist
+            assert (k, primal, dual) == (0, 0.0, 0.0) and steps >= 1 and resid <= 1e-9
+            r = mat @ img.values.ravel() - sino.values.ravel()
+            assert objective == pytest.approx(0.5 * np.sum(r * r), rel=1e-9)
 
     def test_beats_fbp_on_sparse_views(self):
         geom = uniform_geometry(32, 60)
@@ -235,6 +241,17 @@ class TestTvAdmm:
         sino = _instance(seed=4, factor=6)
         with pytest.raises(SolverError, match="CG failed to converge"):
             tv_admm_reconstruct(sino, SolverConfig(lam=0.0, cg_iters=1, cg_tol=1e-14))
+
+    def test_lambda_zero_failure_keeps_its_history_row(self):
+        # the row is written before the error, so a failed solve still reports it
+        sino = _instance(seed=4, factor=6)
+        hist = []
+        with pytest.raises(SolverError, match="CG failed to converge"):
+            tv_admm_reconstruct(sino, SolverConfig(lam=0.0, cg_iters=1, cg_tol=1e-14),
+                                history=hist)
+        [(k, objective, primal, dual, steps, resid)] = hist
+        assert (k, primal, dual, steps) == (0, 0.0, 0.0, 10)
+        assert resid > 1e-14 and objective > 0.0
 
 
 TV_PIPELINE = dict(lam=3e-3, rho=0.1, max_iters=50, cg_iters=15, cg_tol=1e-7, tol=0.0)
