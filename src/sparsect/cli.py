@@ -117,11 +117,14 @@ def cmd_train(args):
                                   depth=args.depth, base_channels=args.base_channels)
     _, data = generate_dataset(manifest)
     params, history = train_cnn(manifest, args.factor, data)
+    if not history:
+        raise ValueError("a non-finite loss stopped training in epoch 0; no weights written")
     formats.save_weights(params, args.out)
     if args.history:
         formats.write_csv(history, ["epoch", "train_loss"], args.history)
-    print(f"trained {args.epochs} epochs on {len(data)} pairs; "
-          f"final train loss {history[-1][1]:.6g}; weights at {args.out}")
+    print(f"trained {len(history)} of {args.epochs} epochs on {len(data)} pairs; "
+          f"final train loss {history[-1][1]:.6g}; weights at {args.out}"
+          + ("" if len(history) == args.epochs else "; a non-finite loss stopped training"))
 
 
 def cmd_apply(args):

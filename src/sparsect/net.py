@@ -183,8 +183,9 @@ def train(params: NetworkParams, dataset, schedule: TrainConfig, rng: Rng = None
             seed = (2.0 / diff.size) * diff
             ad.backward(out, seed.astype(out.value.dtype)[None, :, :])
             for k, v in pvars.items():
-                g = np.clip(v.grad, -CLIP, CLIP)
-                velocity[k] = MOMENTUM * velocity[k] - lr * g
+                g = np.clip(v.grad, -CLIP, CLIP, out=v.grad)
+                velocity[k] *= MOMENTUM
+                velocity[k] -= np.multiply(lr, g, out=g)
                 params.weights[k] += velocity[k]
         checkpoint = params.copy()
         history.append((epoch, float(np.mean(losses))))

@@ -1,4 +1,6 @@
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -41,6 +43,48 @@ def _conv2d_tensordot(x, w, b):
         x.grad += gxpad[:, pt:pt + h, pl:pl + ww_]
 
     return ad.Var(out, parents=(x, w, b), grad_fn=grad_fn)
+
+
+def _maxpool2_argmax(x):
+    """maxpool2 by argmax over each 2x2 block: the reference for the strided
+    maxpool2's bytes and its first-argmax tie rule."""
+    c, h, w = x.value.shape
+    blocks = x.value.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
+    blocks = blocks.reshape(c, h // 2, w // 2, 4)
+    idx = blocks.argmax(axis=-1)
+    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+
+    def grad_fn(g):
+        gb = np.zeros_like(blocks)
+        np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
+        x.grad += gb.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4) \
+                    .reshape(c, h, w)
+
+    return ad.Var(out, parents=(x,), grad_fn=grad_fn)
+
+
+def _upsample2_reshape_sum(x):
+    """upsample2 whose gradient sums each 2x2 block by reshape: the reference
+    for the strided quadrant sums."""
+    out = x.value.repeat(2, axis=1).repeat(2, axis=2)
+
+    def grad_fn(g):
+        c, h, w = x.value.shape
+        x.grad += g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))
+
+    return ad.Var(out, parents=(x,), grad_fn=grad_fn)
+
+
+def _backward_zero_filled(root, seed):
+    """backward with a zero gradient on every node, interior ones included:
+    the reference for writing an interior gradient on first use."""
+    order = ad._toposort(root)
+    for node in order:
+        node.grad = np.zeros_like(node.value)
+    root.grad = np.asarray(seed, dtype=root.value.dtype)
+    for node in reversed(order):
+        if node.grad_fn is not None:
+            node.grad_fn(node.grad)
 
 
 def _network_conv_shapes(depth=3, base_channels=16, side=64):
@@ -94,12 +138,47 @@ class TestConvMatchesTensordotReference:
         start = init_params(3, 16, Rng(22))
         got, h_got = train(start, pairs, TrainConfig(epochs=2), Rng(23))
         monkeypatch.setattr(ad, "conv2d", _conv2d_tensordot)
+        monkeypatch.setattr(ad, "maxpool2", _maxpool2_argmax)
+        monkeypatch.setattr(ad, "upsample2", _upsample2_reshape_sum)
+        monkeypatch.setattr(ad, "backward", _backward_zero_filled)
         want, h_want = train(start, pairs, TrainConfig(epochs=2), Rng(23))
         assert [row[:2] for row in h_got] == [row[:2] for row in h_want]
         assert not np.array_equal(got.weights["enc0_conv1.w"],
                                   start.weights["enc0_conv1.w"])
-        for k in want.weights:
-            assert np.array_equal(got.weights[k], want.weights[k]), k
+        for k in want.weights:   # tobytes: array_equal takes -0.0 for 0.0
+            assert got.weights[k].tobytes() == want.weights[k].tobytes(), k
+
+
+def _tied(shape, dtype, seed):
+    """Values from {-1, -0.0, 0.0, 1, 2}: most 2x2 blocks hold ties, and ReLU
+    turns the negatives into -0.0 beside the +0.0 ones."""
+    levels = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
+    return levels[Rng(seed).integers(0, 4, shape)].astype(dtype)
+
+
+class TestPoolUpsampleMatchReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op, ref", [(ad.maxpool2, _maxpool2_argmax),
+                                         (ad.upsample2, _upsample2_reshape_sum)],
+                             ids=["maxpool2", "upsample2"])
+    def test_same_bytes_on_ties(self, op, ref, dtype):
+        # leaf -> relu -> op, so the op's input holds ReLU zeros of both signs
+        # and its gradient is an interior one
+        z = _tied((5, 12, 10), dtype, 30)
+        results = []
+        for pool_or_up, backward in ((op, ad.backward), (ref, _backward_zero_filled)):
+            leaf = ad.Var(z.copy())
+            out = pool_or_up(ad.relu(leaf))
+            backward(out, Rng(31).normal(out.value.shape).astype(dtype))
+            results.append((out.value, leaf.grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_maxpool_tie_goes_to_the_first_element(self):
+        x = ad.Var(np.full((2, 2, 4), 3.0))
+        ad.backward(ad.maxpool2(x), np.arange(1.0, 5.0).reshape(2, 1, 2))
+        assert np.array_equal(x.grad, [[[1, 0, 2, 0], [0, 0, 0, 0]],
+                                       [[3, 0, 4, 0], [0, 0, 0, 0]]])
 
 
 class TestAutodiffOps:
@@ -177,10 +256,46 @@ class TestAutodiffOps:
         assert np.array_equal(a.grad, np.ones((1, 1, 2)))
         assert np.array_equal(b.grad, np.ones((2, 1, 2)))
 
+    @pytest.mark.parametrize("op", [ad.add, ad.concat_channels])
+    @pytest.mark.parametrize("h_first", [True, False])
+    def test_pass_through_gradients_are_copies(self, op, h_first):
+        # h's first contribution comes from op, a later one from relu(h):
+        # adding that one must touch neither the caller's seed nor relu(h)'s
+        x = ad.Var(1.0 + Rng(3).random((1, 2, 3)))
+        h = ad.relu(x)
+        pair = (h, ad.relu(h)) if h_first else (ad.relu(h), h)
+        out = op(*pair)
+        seed = Rng(4).normal(out.value.shape)
+        kept = seed.copy()
+        ad.backward(out, seed)
+        assert np.array_equal(seed, kept)
+        want = 2 * seed if op is ad.add else seed[:1] + seed[1:]
+        assert np.array_equal(x.grad, want)
+
+    def test_conv2d_weight_and_bias_may_be_interior(self):
+        # gradients reach the leaves behind an op-made weight and bias too
+        rng = Rng(5)
+        x, w, b, seed = (rng.normal(s) for s in ((2, 5, 6), (3, 2, 3, 3), (3,), (3, 5, 6)))
+        direct = _conv_and_grads(ad.conv2d, x, w, b, seed)
+        w_leaf, b_leaf = ad.Var(w), ad.Var(b)
+        out = ad.conv2d(ad.Var(x), ad.add(w_leaf, ad.Var(np.zeros_like(w))),
+                        ad.add(b_leaf, ad.Var(np.zeros_like(b))))
+        ad.backward(out, seed)
+        assert np.array_equal(w_leaf.grad, direct[2])
+        assert np.array_equal(b_leaf.grad, direct[3])
+
     def test_shared_node_grads_accumulate(self):
         x = ad.Var(np.ones((1, 2, 2)))
         y = ad.add(x, x)
         ad.backward(y, np.ones_like(y.value))
+        assert np.array_equal(x.grad, 2 * np.ones((1, 2, 2)))
+
+    def test_interior_gradients_are_dropped_once_read(self):
+        x = ad.Var(np.ones((1, 2, 2)))
+        h = ad.relu(x)
+        y = ad.add(h, h)
+        ad.backward(y, np.ones_like(y.value))
+        assert h.grad is None and y.grad is None
         assert np.array_equal(x.grad, 2 * np.ones((1, 2, 2)))
 
 
@@ -268,6 +383,38 @@ class TestTraining:
         assert h1 == h2
         for k in p1.weights:
             assert np.array_equal(p1.weights[k], p2.weights[k])
+
+    def test_threads_match_sequential_runs(self):
+        # two trainings at once share no state: each gives the bytes it gives
+        # alone (a factor per thread, as the pipeline may train them)
+        rng = Rng(13)
+        data = [tuple((50.0 * rng.normal((16, 16))).astype(np.float32) for _ in "xt")
+                for _ in range(4)]
+
+        def run(seed):
+            params, _ = train(init_params(2, 4, Rng(seed)), data, TrainConfig(epochs=3),
+                              Rng(seed + 1))
+            return b"".join(params.weights[k].tobytes() for k in sorted(params.weights))
+
+        seeds = (14, 16)
+        want = [run(seed) for seed in seeds]
+        got = [None] * len(seeds)
+
+        def work(i):
+            got[i] = run(seeds[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seeds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
     def test_does_not_mutate_input_params(self):
         data = self._toy_dataset(2)

@@ -435,6 +435,31 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epochs_done", [1, 0])
+    def test_train_reports_a_non_finite_stop(self, tmp_path, capsys, monkeypatch,
+                                             epochs_done):
+        # net.train returns the epochs it finished when a loss turns non-finite
+        real = pipeline.train
+
+        def stops_early(params, dataset, schedule, rng):
+            trained, history = real(params, dataset, schedule, rng)
+            return trained, history[:epochs_done]
+
+        monkeypatch.setattr(pipeline, "train", stops_early)
+        out = tmp_path / "w.net"
+        argv = ["train", "--seed", "3", "--side", "32", "--n-views", "30", "--count", "2",
+                "--factor", "5", "--epochs", "2", "--depth", "1", "--base-channels", "2",
+                "--out", str(out)]
+        if epochs_done:
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            assert "trained 1 of 2 epochs" in printed
+            assert "a non-finite loss stopped training" in printed
+            assert out.exists()
+        else:
+            _assert_cli_error(argv, "a non-finite loss stopped training", capsys)
+            assert not out.exists()
+
     def test_train_rejects_zero_channels(self, tmp_path, capsys):
         out = tmp_path / "w.net"
         _assert_cli_error(["train", "--base-channels", "0", "--out", str(out)],
