@@ -12,18 +12,24 @@ One tap builder, `_taps`, yields the Joseph crossings of each view block by
 block as indices into image lines padded with two cells at each end;
 `forward` gathers through it, `backproject_values` scatters through it and
 `system_matrix` maps the same taps to pixel columns, all on the geometry's
-own grid (only `backproject_pixel_driven` takes another side).  Blocks of
-at most `_BLOCK_CELLS` cells skip what lands only on padding and keep every
-sum in order: `forward` sums whole zero-filled rows of a slab of bins, the
+own grid (only `backproject_pixel_driven` takes another side).  Blocks of at
+most `_BLOCK_CELLS` cells skip what lands only on padding and keep every sum
+in order: `forward` sums whole zero-filled rows of a slab of bins, the
 adjoint takes slabs of lines (a cell's bins share one `bincount`), and
-`backproject_pixel_driven` loops over views in blocks of rows.  `H*H` at
-256²/360 takes about 1.0 s on one core (1.6 s unblocked).  `normal_operator`
-uses the CSR matrix for side <= 128 and `forward`/`adjoint` above that;
-like the solvers' own per-geometry values in `sparse`, it is cached for the
-two most recently used geometries (a default run's two factors).
+`backproject_pixel_driven` loops over views in blocks of rows.  Each writes
+its own views, slabs or row blocks, so `_split` shares them out to up to two
+CPUs, bit for bit.  Blocks of 2^15 cells keep the GIL handoffs between two
+threads cheap (at 2^14 two were slower than one) and one CPU fast (2^16 was
+not).  `H*H` at 256²/360 takes about 0.8 s on two CPUs and 1.0 s on one (1.6 s
+unblocked).  `normal_operator` uses the CSR matrix for side <= 128 and
+`forward`/`adjoint` above that and, like the solvers' own per-geometry
+values in `sparse`, is cached for the two most recently used geometries (a
+default run's two factors).
 """
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +151,41 @@ class Sinogram:
         self.values = v
 
 
-_BLOCK_CELLS = 1 << 14  # cells per kernel block: 128 kB float64 temporaries stay in L2
+_BLOCK_CELLS = 1 << 15  # cells per kernel block: 256 kB float64 temporaries
+
+
+def _cpus():
+    """CPUs this process may run on, at most 2: the only part count measured."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return min(2, len(cpus) if cpus else os.cpu_count() or 1)
+
+
+def _split(work, units):
+    """Run work(part, parts) for min(`_cpus()`, units) parts, part 0 here and
+    the rest on threads joined before returning; re-raise a part's exception."""
+    parts, errors = max(1, min(_cpus(), units)), []
+
+    def run(part):
+        try:
+            work(part, parts)
+        except BaseException as exc:
+            errors.append(exc)
+    threads = [threading.Thread(target=run, args=(p,)) for p in range(1, parts)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
+def _blocks(n, width):
+    """Starts of the fewest blocks of lines of `width` cells, at most
+    `_BLOCK_CELLS` cells each and all but the last of one size (.step), that
+    cover n lines."""
+    count = -(-n // max(1, _BLOCK_CELLS // width))
+    return range(0, n, -(-n // count))
 
 
 def _band(a, t0, t1, b, cb, reach, n):
@@ -158,33 +198,34 @@ def _band(a, t0, t1, b, cb, reach, n):
     return max(0, int(mid - width)), min(n, int(mid + width) + 1)
 
 
-def _taps(geom, by_lines):
+def _taps(geom, by_lines, part=0, parts=1):
     """Yield (vi, drive_rows, weight, bins, lines, idx, frac): the Joseph taps
     of each view of `geom` on its own side x side grid, in slabs of whole
     lines (by_lines) or bins, each cut by `_band` to the range of the other
-    axis that can reach the grid.  Rays closer to vertical (drive_rows) cross
-    every image row, the others every column.  Bin b crosses line k
-    g*(b - off) + h*(k - half) cells from the line's middle, between lateral
-    cells idx[b, k] and idx[b, k] + 1, with weights (1 - frac, frac) times
-    `weight`, the path length through a line.  `idx` indexes the lines from
-    lines[0] on, each padded with two cells at both ends (side + 4 per line);
-    crossings are clipped to [-2, side] first, so a tap off the grid lands on
-    a pad cell.
-    """
+    axis that can reach the grid; part `part` of `parts` takes every parts-th
+    view (by bins) or slab of a view (by lines).  Rays closer to vertical
+    (drive_rows) cross every image row, the others every column.  Bin b
+    crosses line k g*(b - off) + h*(k - half) cells from the line's middle,
+    between lateral cells idx[b, k] and idx[b, k] + 1, with weights
+    (1 - frac, frac) times `weight`, the path length through a line.  `idx`
+    indexes the lines from lines[0] on, each padded with two cells at both
+    ends (side + 4 per line); crossings are clipped to [-2, side] first, so a
+    tap off the grid lands on a pad cell."""
     side, n_bins, dx = geom.image_side, geom.n_bins, geom.pixel_spacing
     n, other = (side, n_bins) if by_lines else (n_bins, side)
-    step = max(1, _BLOCK_CELLS // other)
+    views, blocks = range(geom.n_views), _blocks(n, other)
+    views, starts = (views, blocks[part::parts]) if by_lines else (views[part::parts], blocks)
     half, off = (side - 1) / 2.0, (n_bins - 1) / 2.0
     centers = geom.bin_centers()
-    for vi, theta in enumerate(geom.angles):
-        c, s = np.cos(theta), np.sin(theta)
+    for vi in views:
+        c, s = np.cos(geom.angles[vi]), np.sin(geom.angles[vi])
         drive_rows = bool(abs(c) >= abs(s))
         u, v = (c, s) if drive_rows else (s, c)
         slope_s, slope_c = 1.0 / u, -v / u
         g, h = float(slope_s) * geom.det_spacing / dx, float(slope_c)
         a, ca, b, cb = (h, half, g, off) if by_lines else (g, off, h, half)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
+        for start in starts:
+            stop = min(start + blocks.step, n)
             lo, hi = _band(a, start - ca, stop - 1 - ca, b, cb, half + 1.0, other)
             if lo >= hi:
                 continue
@@ -217,14 +258,18 @@ def forward(image: Image, geometry: Geometry) -> Sinogram:
     side = geometry.image_side
     out = np.zeros((geometry.n_views, geometry.n_bins))
     flat = _padded_lines(image.values)
-    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geometry, by_lines=False):
-        cells = flat[drive_rows][lines[0] * (side + 4):]
-        v0, v1 = cells.take(idx), cells[1:].take(idx)
-        v1 *= frac
-        v0 *= np.subtract(1.0, frac, out=frac)
-        terms = np.zeros((bins[1] - bins[0], side))
-        np.add(v0, v1, out=terms[:, lines[0]:lines[1]])
-        out[vi, bins[0]:bins[1]] = weight * terms.sum(axis=1)
+
+    def work(part, parts):
+        for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geometry, False, part, parts):
+            cells = flat[drive_rows][lines[0] * (side + 4):]
+            v0, v1 = cells.take(idx), cells[1:].take(idx)
+            v1 *= frac
+            v0 *= np.subtract(1.0, frac, out=frac)
+            terms = np.zeros((bins[1] - bins[0], side))
+            np.add(v0, v1, out=terms[:, lines[0]:lines[1]])
+            out[vi, bins[0]:bins[1]] = weight * terms.sum(axis=1)
+    # one block per view is too little work to split: 16² to 96² ran slower
+    _split(work, geometry.n_views if len(_blocks(geometry.n_bins, side)) > 1 else 1)
     return Sinogram(geometry=geometry, values=out)
 
 
@@ -235,12 +280,15 @@ def backproject_values(values: np.ndarray, geom: Geometry) -> np.ndarray:
     side = geom.image_side
     _check_values(values, geom)
     acc = np.zeros((2, side * (side + 4)))
-    for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geom, by_lines=True):
-        v = values[vi, bins[0]:bins[1], None] * weight
-        cells = acc[int(drive_rows), lines[0] * (side + 4):lines[1] * (side + 4)]
-        cells += np.bincount(idx.ravel(), (v * (1.0 - frac)).ravel(), cells.size)
-        # scatter to idx + 1 as the counts at idx shifted by one cell
-        cells[1:] += np.bincount(idx.ravel(), (v * frac).ravel(), cells.size)[:-1]
+
+    def work(part, parts):
+        for vi, drive_rows, weight, bins, lines, idx, frac in _taps(geom, True, part, parts):
+            v = values[vi, bins[0]:bins[1], None] * weight
+            cells = acc[int(drive_rows), lines[0] * (side + 4):lines[1] * (side + 4)]
+            cells += np.bincount(idx.ravel(), (v * (1.0 - frac)).ravel(), cells.size)
+            # scatter to idx + 1 as the counts at idx shifted by one cell
+            cells[1:] += np.bincount(idx.ravel(), (v * frac).ravel(), cells.size)[:-1]
+    _split(work, len(_blocks(side, geom.n_bins)))
     acc = acc.reshape(2, side, side + 4)[:, :, 2:-2]
     return acc[1] + acc[0].T
 
@@ -262,6 +310,8 @@ def backproject_pixel_driven(values: np.ndarray, geom: Geometry, side=None) -> n
     `_band` skips them in blocks of rows).
     """
     side = geom.image_side if side is None else side
+    if isinstance(side, bool) or not isinstance(side, (int, np.integer)) or side < 1:
+        raise ValueError(f"side must be an integer >= 1, not {side!r}")
     _check_values(values, geom)
     half, ratio = (side - 1) / 2.0, geom.pixel_spacing / geom.det_spacing
     coords = (np.arange(side) - half) * geom.pixel_spacing
@@ -269,24 +319,27 @@ def backproject_pixel_driven(values: np.ndarray, geom: Geometry, side=None) -> n
     off = (geom.n_bins - 1) / 2.0
     padded = np.pad(values, ((0, 0), (2, 2)))
     trig = [(np.cos(theta), np.sin(theta)) for theta in geom.angles]
-    step = max(1, _BLOCK_CELLS // side)
-    for r0 in range(0, side, step):
-        y, rows = coords[r0:r0 + step, None], out[r0:r0 + step]
-        for vi, (c, s) in enumerate(trig):
-            lo, hi = _band(float(s) * ratio, r0 - half, r0 + len(y) - 1 - half,
-                           float(c) * ratio, half, off + 1.0, side)
-            t = coords[None, lo:hi] * c + y * s
-            t /= geom.det_spacing
-            t += off
-            b0 = np.floor(t)
-            frac = np.subtract(t, b0, out=t)
-            idx = np.clip(b0, -2, geom.n_bins, out=b0).astype(np.int64)
-            idx += 2
-            v0, v1 = padded[vi].take(idx), padded[vi, 1:].take(idx)
-            v1 *= frac
-            v0 *= np.subtract(1.0, frac, out=frac)
-            rows[:, lo:hi] += v0
-            rows[:, lo:hi] += v1
+    blocks = _blocks(side, side)
+
+    def work(part, parts):
+        for r0 in blocks[part::parts]:
+            y, rows = coords[r0:r0 + blocks.step, None], out[r0:r0 + blocks.step]
+            for vi, (c, s) in enumerate(trig):
+                lo, hi = _band(float(s) * ratio, r0 - half, r0 + len(y) - 1 - half,
+                               float(c) * ratio, half, off + 1.0, side)
+                t = coords[None, lo:hi] * c + y * s
+                t /= geom.det_spacing
+                t += off
+                b0 = np.floor(t)
+                frac = np.subtract(t, b0, out=t)
+                idx = np.clip(b0, -2, geom.n_bins, out=b0).astype(np.int64)
+                idx += 2
+                v0, v1 = padded[vi].take(idx), padded[vi, 1:].take(idx)
+                v1 *= frac
+                v0 *= np.subtract(1.0, frac, out=frac)
+                rows[:, lo:hi] += v0
+                rows[:, lo:hi] += v1
+    _split(work, len(blocks))
     return out
 
 

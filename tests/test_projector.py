@@ -1,4 +1,5 @@
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -363,6 +364,119 @@ class TestBlockedKernels:
                                                      y, geom, side))
 
 
+def _slabs(geom):
+    """Line slabs of `backproject_values` on `geom`: its units of work."""
+    return len(projector._blocks(geom.image_side, geom.n_bins))
+
+
+def _row_blocks(side):
+    """Row blocks of `backproject_pixel_driven` on a side x side grid."""
+    return len(projector._blocks(side, side))
+
+
+def _split_outputs(geom):
+    """Bytes of every split kernel's output on `geom`, for one random image
+    and sinogram."""
+    side = geom.image_side
+    x = Rng(31).normal((side, side))
+    y = Rng(32).normal((geom.n_views, geom.n_bins))
+    return [forward(Image(x, geom.pixel_spacing), geom).values.tobytes(),
+            backproject_values(y, geom).tobytes(),
+            backproject_pixel_driven(y, geom).tobytes(),
+            backproject_pixel_driven(y, geom, 2 * side + 1).tobytes(),
+            normal_operator(geom)(x).tobytes()]
+
+
+class TestSplitKernels:
+    """The kernels split into parts on threads give the bytes of one part,
+    whatever the part count, and leave no thread behind."""
+
+    @pytest.fixture(params=["uniform", "non-uniform"])
+    def geom(self, request):
+        # side 160 above the CSR limit of `normal_operator`, with more than
+        # one block per view for `forward`; its 3 line slabs and 4
+        # extended-grid row blocks split unequally into 2 and 3 parts, and its
+        # one own-grid row block is fewer units than parts
+        geom = uniform_geometry(160, 50)
+        if request.param == "non-uniform":
+            angles = np.random.default_rng(160).uniform(0.0, np.pi, 37)
+            geom = geom.with_angles(np.unique(np.concatenate([[0.0, np.pi / 4, np.pi / 2],
+                                                              angles])))
+        assert len(projector._blocks(geom.n_bins, 160)) > 1
+        assert _slabs(geom) == 3 and _row_blocks(321) == 4 and _row_blocks(160) == 1
+        return geom
+
+    @staticmethod
+    def _parts(monkeypatch, n):
+        monkeypatch.setattr(projector, "_cpus", lambda: n)
+
+    def test_every_part_count_gives_the_same_bytes(self, geom, monkeypatch, cold_caches):
+        outputs = []
+        for n in (1, 2, 3):
+            self._parts(monkeypatch, n)
+            outputs.append(_split_outputs(geom))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_more_parts_than_units(self, monkeypatch):
+        geom = uniform_geometry(64, 90)
+        assert len(projector._blocks(geom.n_bins, 64)) == 1   # too little to split
+        assert _slabs(geom) == 1 and _row_blocks(64) == 1
+        self._parts(monkeypatch, 1)
+        one = _split_outputs(geom)
+        self._parts(monkeypatch, 3)
+        assert _split_outputs(geom) == one
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    @pytest.mark.parametrize("kernel", ["forward", "backproject_values",
+                                        "backproject_pixel_driven"])
+    def test_a_failing_part_raises_in_the_caller(self, monkeypatch, kernel, where):
+        geom = uniform_geometry(160, 20)
+        caller, band = threading.get_ident(), projector._band
+
+        def failing_band(*args):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise RuntimeError(f"block failed on the {where} thread")
+            return band(*args)
+        self._parts(monkeypatch, 2)
+        monkeypatch.setattr(projector, "_band", failing_band)
+        calls = {"forward": lambda: forward(Image(np.ones((160, 160)), geom.pixel_spacing),
+                                            geom),
+                 "backproject_values": lambda: backproject_values(
+                     np.ones((geom.n_views, geom.n_bins)), geom),
+                 "backproject_pixel_driven": lambda: backproject_pixel_driven(
+                     np.ones((geom.n_views, geom.n_bins)), geom, 321)}
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"on the {where} thread"):
+            calls[kernel]()
+        assert threading.active_count() == before
+
+    def test_two_callers_at_once_match_their_sequential_runs(self, monkeypatch):
+        from sparsect.fbp import fbp_reconstruct
+        self._parts(monkeypatch, 2)
+        jobs = []
+        for side, views in ((160, 90), (136, 60)):
+            geom = uniform_geometry(side, views)
+            x = Rng(side).normal((side, side))
+            y = Rng(views).normal((views, geom.n_bins))
+            jobs.append(lambda g=geom, x=x: forward(Image(x, g.pixel_spacing), g).values)
+            jobs.append(lambda y=y, g=geom: fbp_reconstruct(Sinogram(g, y)).values)
+        sequential = [job().tobytes() for job in jobs]
+        got = [None] * len(jobs)
+
+        def run(k):
+            for _ in range(2):
+                got[k] = jobs[k]().tobytes()
+        # one caller per geometry, each running its forward and its FBP
+        callers = [threading.Thread(target=lambda k=k: (run(k), run(k + 1)))
+                   for k in (0, 2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert got == sequential
+
+
 class TestSystemMatrix:
     def test_matvec_matches_forward(self):
         geom = uniform_geometry(32, 12)
@@ -397,6 +511,12 @@ class TestPixelDrivenBackprojection:
         scale = geom.pixel_spacing ** 2 / geom.det_spacing
         rel = np.linalg.norm(a - scale * p) / np.linalg.norm(a)
         assert rel < 0.05
+
+    @pytest.mark.parametrize("side", [0, -3, 2.5, "8", True])
+    def test_rejects_a_side_that_is_not_a_positive_integer(self, side):
+        geom = uniform_geometry(16, 8)
+        with pytest.raises(ValueError, match="side must be an integer >= 1"):
+            backproject_pixel_driven(np.zeros((geom.n_views, geom.n_bins)), geom, side)
 
     def test_extended_grid_center_matches(self):
         geom = uniform_geometry(32, 20)
