@@ -79,69 +79,53 @@ class SolverConfig:
 
 def soft_threshold(v, theta):
     """Elementwise sign(v) * max(|v| - theta, 0)."""
-    if theta < 0:
-        raise ValueError("threshold must be >= 0")
+    if not theta >= 0:
+        raise ValueError(f"threshold must be >= 0, not {theta}")
     v = np.asarray(v)
     return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
 
 
-_H = 1.0 / 2.0  # 2x2 orthonormal Haar butterfly scale
-
-
-def _haar_step(block):
-    a = block[0::2, 0::2]
-    b = block[0::2, 1::2]
-    c = block[1::2, 0::2]
-    d = block[1::2, 1::2]
-    return ((a + b + c + d) * _H, (a - b + c - d) * _H,
-            (a + b - c - d) * _H, (a - b - c + d) * _H)
-
-
-def _haar_step_inv(ll, hl, lh, hh):
-    n = ll.shape[0] * 2
-    out = np.empty((n, n))
-    out[0::2, 0::2] = (ll + hl + lh + hh) * _H
-    out[0::2, 1::2] = (ll - hl + lh - hh) * _H
-    out[1::2, 0::2] = (ll + hl - lh - hh) * _H
-    out[1::2, 1::2] = (ll - hl - lh + hh) * _H
-    return out
-
-
-def _check_levels(values, levels):
-    """Side of `values`, which `levels` Haar steps must halve exactly."""
-    side = values.shape[0]
+def _haar(values, levels, inverse):
+    """`levels` orthonormal 2x2 Haar butterflies on a float64 copy of the
+    square `values`.  The butterfly is its own inverse: level k maps the
+    even/odd phases of the top-left (side/2^k)^2 block to its four quadrants
+    (analysis), or the quadrants back to the phases (synthesis, coarsest
+    level first)."""
+    out = np.array(values, dtype=np.float64)
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+        raise ValueError(f"Haar transform needs a square 2-D array, not shape {out.shape}")
+    side = out.shape[0]
     if side % (1 << levels) != 0:
         raise ValueError(f"side {side} not divisible by 2^{levels}")
-    return side
+    sides = [side >> k for k in range(levels)]
+    for n in reversed(sides) if inverse else sides:
+        h = n // 2
+        block = out[:n, :n]
+        phases = block.reshape(h, 2, h, 2).transpose(1, 3, 0, 2)
+        quadrants = block.reshape(2, h, 2, h).transpose(0, 2, 1, 3)
+        src, dst = (quadrants, phases) if inverse else (phases, quadrants)
+        # the butterfly: ((a ± b) ± c) ± d, halved, each sum left to right
+        a, b, c, d = src[0, 0], src[0, 1], src[1, 0], src[1, 1]
+        s, t = a + b, a - b
+        p = np.empty((2, 2, h, h))    # src aliases dst: sum here, then scale
+        np.add(np.add(s, c, out=p[0, 0]), d, out=p[0, 0])
+        np.subtract(np.add(t, c, out=p[0, 1]), d, out=p[0, 1])
+        np.subtract(np.subtract(s, c, out=p[1, 0]), d, out=p[1, 0])
+        np.add(np.subtract(t, c, out=p[1, 1]), d, out=p[1, 1])
+        np.multiply(p, 0.5, out=dst)
+    return out
 
 
 def wavelet_analysis(values: np.ndarray, levels: int) -> np.ndarray:
     """Orthonormal multilevel 2-D Haar transform (exact inverse pair), packed
     in quadrant layout: the level-k approximation occupies the top-left
     (side/2^k)^2 block."""
-    out = np.array(values, dtype=np.float64)
-    n = _check_levels(out, levels)
-    for _ in range(levels):
-        ll, hl, lh, hh = _haar_step(out[:n, :n])
-        h = n // 2
-        out[:h, :h] = ll
-        out[:h, h:n] = hl
-        out[h:n, :h] = lh
-        out[h:n, h:n] = hh
-        n = h
-    return out
+    return _haar(values, levels, inverse=False)
 
 
 def wavelet_synthesis(coeffs: np.ndarray, levels: int) -> np.ndarray:
     """Inverse of `wavelet_analysis` for the same `levels`."""
-    out = np.array(coeffs, dtype=np.float64)
-    n = _check_levels(out, levels) >> levels
-    for _ in range(levels):
-        m = n * 2
-        out[:m, :m] = _haar_step_inv(out[:n, :n], out[:n, n:m],
-                                     out[n:m, :n], out[n:m, n:m])
-        n = m
-    return out
+    return _haar(coeffs, levels, inverse=True)
 
 
 def estimate_lipschitz(geometry: Geometry, op=None) -> float:

@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import threading
 import weakref
@@ -31,11 +32,89 @@ class TestSoftThreshold:
         assert np.array_equal(soft_threshold(v, 0.0), v)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            soft_threshold([1.0], -0.1)
+        for theta in (-0.1, np.nan):
+            with pytest.raises(ValueError):
+                soft_threshold([1.0], theta)
+
+
+def _ref_haar_step(block):
+    a = block[0::2, 0::2]
+    b = block[0::2, 1::2]
+    c = block[1::2, 0::2]
+    d = block[1::2, 1::2]
+    return ((a + b + c + d) * 0.5, (a - b + c - d) * 0.5,
+            (a + b - c - d) * 0.5, (a - b - c + d) * 0.5)
+
+
+def _ref_haar_step_inv(ll, hl, lh, hh):
+    n = ll.shape[0] * 2
+    out = np.empty((n, n))
+    out[0::2, 0::2] = (ll + hl + lh + hh) * 0.5
+    out[0::2, 1::2] = (ll - hl + lh - hh) * 0.5
+    out[1::2, 0::2] = (ll + hl - lh - hh) * 0.5
+    out[1::2, 1::2] = (ll - hl - lh + hh) * 0.5
+    return out
+
+
+def _ref_analysis(values, levels):
+    """Reference Haar analysis: the four subbands written out one by one."""
+    out = np.array(values, dtype=np.float64)
+    n = out.shape[0]
+    for _ in range(levels):
+        ll, hl, lh, hh = _ref_haar_step(out[:n, :n])
+        h = n // 2
+        out[:h, :h] = ll
+        out[:h, h:n] = hl
+        out[h:n, :h] = lh
+        out[h:n, h:n] = hh
+        n = h
+    return out
+
+
+def _ref_synthesis(coeffs, levels):
+    """Reference Haar synthesis: the four phases written out one by one."""
+    out = np.array(coeffs, dtype=np.float64)
+    n = out.shape[0] >> levels
+    for _ in range(levels):
+        m = n * 2
+        out[:m, :m] = _ref_haar_step_inv(out[:n, :n], out[:n, n:m],
+                                         out[n:m, :n], out[n:m, n:m])
+        n = m
+    return out
+
+
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0, 3.0])
 
 
 class TestHaar:
+    @pytest.mark.parametrize("side", [2, 8, 16, 48, 64, 128])
+    def test_bytes_match_reference(self, side):
+        rng = Rng(side)
+        shape = (side, side)
+        inputs = [_EDGE_VALUES[rng.integers(0, len(_EDGE_VALUES) - 1, shape)],
+                  rng.normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)]
+        levels = [k for k in range(5) if side % (1 << k) == 0]
+        with np.errstate(all="ignore"):     # ±1e300 sums overflow to ±inf and nan
+            for x in inputs:
+                for k in levels:
+                    assert wavelet_analysis(x, k).tobytes() == _ref_analysis(x, k).tobytes()
+                    assert wavelet_synthesis(x, k).tobytes() == _ref_synthesis(x, k).tobytes()
+
+    def test_solves_match_reference_bytes(self, monkeypatch):
+        sino = _instance(seed=7, side=64, n_views=90, factor=7)
+        configs = [SolverConfig(lam=2e-3, max_iters=100, tol=0.0, fista=True),
+                   SolverConfig(lam=2e-3, max_iters=30, tol=0.0)]
+        got = [ista_reconstruct(sino, cfg).values.tobytes() for cfg in configs]
+        monkeypatch.setattr(sparse, "wavelet_analysis", _ref_analysis)
+        monkeypatch.setattr(sparse, "wavelet_synthesis", _ref_synthesis)
+        assert got == [ista_reconstruct(sino, cfg).values.tobytes() for cfg in configs]
+
+    @pytest.mark.parametrize("transform", [wavelet_analysis, wavelet_synthesis])
+    @pytest.mark.parametrize("shape", [(64, 128), (128, 64), (64,)])
+    def test_rejects_non_square(self, transform, shape):
+        with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+            transform(np.zeros(shape), 3)
+
     def test_roundtrip_exact(self):
         x = Rng(1).normal((64, 64))
         for levels in (1, 2, 3):
